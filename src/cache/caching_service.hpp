@@ -51,6 +51,27 @@ class CachingService {
       const auto total = hits + misses;
       return total ? static_cast<double>(hits) / total : 0.0;
     }
+
+    /// Field-wise sum and difference: totals across caches, and one run's
+    /// activity on a cache that outlives it (after − before).
+    Stats& operator+=(const Stats& o) {
+      hits += o.hits;
+      misses += o.misses;
+      evictions += o.evictions;
+      bytes_evicted += o.bytes_evicted;
+      puts += o.puts;
+      invalidations += o.invalidations;
+      return *this;
+    }
+    friend Stats operator-(Stats a, const Stats& b) {
+      a.hits -= b.hits;
+      a.misses -= b.misses;
+      a.evictions -= b.evictions;
+      a.bytes_evicted -= b.bytes_evicted;
+      a.puts -= b.puts;
+      a.invalidations -= b.invalidations;
+      return a;
+    }
   };
 
   explicit CachingService(std::uint64_t capacity_bytes,

@@ -83,9 +83,10 @@ struct CostParams {
   double msg_overhead = 0;
 
   // Logical messages combined per physical network frame — the message
-  // aggregator's flush threshold (QesOptions::agg_flush_batches). The
-  // per-message overhead is paid per *frame*, so the msg term divides by
-  // this. 1 (default) prices the unaggregated network.
+  // aggregator's flush threshold (QueryPlanner::plan reads it off the
+  // installed net::MessageAggregator). The per-message overhead is paid
+  // per *frame*, so the msg term divides by this. 1 (default) prices the
+  // unaggregated network.
   double agg_flush_batches = 1;
 
   double m_S() const { return T / c_S; }  // number of right sub-tables

@@ -4,17 +4,24 @@
 // Phase 1 (partition): each storage node's QES reads its local chunks of
 // both tables, applies h1 to route record batches to compute nodes; each
 // compute node applies h2 to split received records into scratch-disk
-// buckets. By default the receiver charges network + bucket write per
-// batch sequentially, which is what makes the cost model's Transfer +
-// Write terms additive (Section 5.2). With QesOptions::gh_double_buffer
-// the spill of batch k overlaps the receive of batch k+1 (one outstanding
-// reservation), and phase 2 reserves the next bucket's read-back while the
-// CPU joins the current one — the pipelined cost model's max-of-stages.
+// buckets.
 //
 // Phase 2 (bucket join): after a barrier, each compute node reads its
 // bucket pairs back and joins them in memory, independently of the network.
+//
+// Each phase has one disk sequence per batch / bucket, and
+// QesOptions::gh_double_buffer only changes when it waits. Spill: wait for
+// the previous batch's write, reserve this one's, and — serial — wait for
+// it too, so the receiver charges network + bucket write per batch in
+// sequence, which is what makes the cost model's Transfer + Write terms
+// additive (Section 5.2). Double-buffered, the write of batch k overlaps
+// the receive of batch k+1 (one outstanding reservation). Read-back: wait
+// for the bucket's scratch read — reserved just now (serial), or while the
+// CPU joined the previous bucket (double-buffered) — the pipelined cost
+// model's max-of-stages.
 
 #include <deque>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -49,7 +56,7 @@ struct GhShared {
            SchemaPtr rs, SchemaPtr result)
       : cluster(c), bds(b), meta(m), query(q), options(o),
         left_schema(std::move(ls)), right_schema(std::move(rs)),
-        result_schema(std::move(result)) {}
+        result_schema(std::move(result)), life(c) {}
 
   Cluster& cluster;
   BdsService& bds;
@@ -93,17 +100,11 @@ struct GhShared {
   /// phases, h1 rows received, batch bytes ingested.
   std::vector<QesResult::NodeWork> node_work;
 
-  // Trace-context plumbing + occupancy-sampler lifecycle (mirrors the
-  // Indexed Join): the query completes when the last compute node
-  // finishes, and that instant — not the sampler's trailing tick — is the
-  // measured elapsed time.
-  std::uint64_t trace_id = 0;
-  obs::SpanId query_span;
-  bool sampling = false;
-  bool done = false;
-  double finished_at = -1;
+  // Root span, trace id, occupancy sampler and completion time: the
+  // query completes when the last of `computes_left` compute nodes
+  // finishes.
+  QueryLifecycle life;
   std::size_t computes_left = 0;
-  ProbeSet probes;
 };
 
 /// Routing chain for one row: candidate k is h1 re-salted k times; the
@@ -199,7 +200,7 @@ class Partitioner {
     const double batch_bytes = static_cast<double>(batch.bytes.size());
     auto* ctx = obs::context();
     obs::StageScope send_stage(ctx, "gh.send", parent_);
-    batch.trace = obs::TraceContext{sh_.trace_id, send_stage.id()};
+    batch.trace = obs::TraceContext{sh_.life.trace_id, send_stage.id()};
     ++sh_.h1_messages_sent;
     if (auto* agg = net::context()) {
       // Aggregated path: hand the batch to the per-(src,dst) flow and
@@ -302,7 +303,7 @@ sim::Task<> gh_reader(GhShared& sh, std::size_t node, TableId table,
 
 /// Storage-node QES: stream local chunks of both tables through h1.
 sim::Task<> gh_storage(GhShared& sh, std::size_t node, sim::Latch& done) {
-  obs::StageScope stage(obs::context(), "gh.partition", sh.query_span);
+  obs::StageScope stage(obs::context(), "gh.partition", sh.life.span);
   stage.tag("storage_node", static_cast<std::uint64_t>(node));
   Partitioner left_part(sh, true, static_cast<std::uint32_t>(node),
                         *sh.left_schema, stage.id());
@@ -315,7 +316,8 @@ sim::Task<> gh_storage(GhShared& sh, std::size_t node, sim::Latch& done) {
     sim::Channel<std::shared_ptr<const SubTable>> queue(s.cluster.engine(),
                                                         2);
     auto reader = s.cluster.engine().spawn(
-        gh_reader(s, n, table, queue, obs::TraceContext{s.trace_id, parent}),
+        gh_reader(s, n, table, queue,
+                  obs::TraceContext{s.life.trace_id, parent}),
         strformat("gh-reader-%zu-t%u", n, table));
     while (true) {
       auto st = co_await queue.recv();
@@ -353,7 +355,7 @@ sim::Task<> gh_storage(GhShared& sh, std::size_t node, sim::Latch& done) {
 sim::Task<> gh_repartition(GhShared& sh, std::size_t node,
                            std::vector<char> prev_dead,
                            std::vector<char> dead) {
-  obs::StageScope stage(obs::context(), "gh.repartition", sh.query_span);
+  obs::StageScope stage(obs::context(), "gh.repartition", sh.life.span);
   stage.tag("storage_node", static_cast<std::uint64_t>(node));
   Partitioner left_part(sh, true, static_cast<std::uint32_t>(node),
                         *sh.left_schema, stage.id(), dead);
@@ -366,7 +368,7 @@ sim::Task<> gh_repartition(GhShared& sh, std::size_t node,
     for (const auto& cm : s.meta.chunks(table)) {
       if (cm.location.storage_node != n) continue;
       auto st = co_await produce_with_retry(
-          s, n, cm.id, obs::TraceContext{s.trace_id, parent});
+          s, n, cm.id, obs::TraceContext{s.life.trace_id, parent});
       if (!s.query.ranges.empty()) {
         const SubTable filtered =
             filter_rows(*st, st->schema(), s.query.ranges);
@@ -466,15 +468,15 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
   // The query is over when the last compute node finishes (or unwinds);
   // recording that instant on every exit path is what lets the sampler's
   // done flag flip and the trailing tick stay out of the measured time.
+  // A frame parked by a failed query is destroyed after GhShared is gone
+  // (QueryLifecycle::alive), and then has nothing to record.
   struct Finished {
     GhShared& sh;
+    std::weak_ptr<const char> alive;
     ~Finished() {
-      if (--sh.computes_left == 0) {
-        sh.done = true;
-        sh.finished_at = sh.cluster.engine().now();
-      }
+      if (!alive.expired() && --sh.computes_left == 0) sh.life.finish();
     }
-  } finished{sh};
+  } finished{sh, sh.life.alive};
   // Busy-window accounting for the skew diagnosis. Recorded at the normal
   // exit points only (not the guard above): on a failed query suspended
   // frames are destroyed after GhShared is gone, so the destructor must
@@ -509,10 +511,10 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
   // draining (black hole) so senders never block on a dead destination.
   auto* ctx = obs::context();
   auto* inj = fault::context();
-  obs::StageScope recv_stage(ctx, "gh.receive", sh.query_span);
+  obs::StageScope recv_stage(ctx, "gh.receive", sh.life.span);
   recv_stage.tag("node", static_cast<std::uint64_t>(node));
-  ProbeGuard node_probes(sh.probes);
-  if (sh.sampling) {
+  ProbeGuard node_probes(sh.life);
+  if (sh.life.sampling) {
     // Channel depth is read through the persistent unique_ptr slot, which
     // stays valid across recovery-round channel swaps.
     node_probes.add(strformat("gh.channel_depth[%zu]", node),
@@ -552,9 +554,9 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
       }
     }
   };
-  // Completion time of the last double-buffered spill reservation; the
-  // node awaits it before the round/phase boundary so "partition done"
-  // still means "every bucket byte is on scratch disk".
+  // Completion time of the last spill reservation; the node awaits it
+  // before the round/phase boundary so "partition done" still means
+  // "every bucket byte is on scratch disk".
   sim::Time spill_done = sh.cluster.engine().now();
   while (true) {
     while (true) {
@@ -577,27 +579,21 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
       if (ctx && batch.trace.parent) {
         ctx->tracer.link(ingest_stage.id(), batch.trace.parent);
       }
-      if (sh.options.gh_double_buffer) {
-        // Double-buffered spill: charge ingress, wait for the *previous*
-        // batch's spill to drain, then reserve (not await) this one — the
-        // scratch write proceeds while the next batch is received, so the
-        // phase pays max(Transfer, Write) instead of the sum. One
-        // outstanding write bounds the in-flight buffer to a batch.
-        co_await sh.cluster.compute_ingress(
-            node, static_cast<double>(batch.bytes.size()));
+      // Ingress, then the spill. Serial waits for the write (the paper's
+      // additive Transfer + Write); double-buffered leaves it in flight
+      // while the next batch is received — one outstanding write bounds
+      // the in-flight buffer to a batch.
+      co_await sh.cluster.compute_ingress(
+          node, static_cast<double>(batch.bytes.size()));
+      {
         obs::StageScope spill_stage(ctx, "gh.spill", ingest_stage.id());
         co_await sh.cluster.engine().wait_until(spill_done);
         spill_done =
             scratch.reserve_write(static_cast<double>(batch.bytes.size()),
                                   static_cast<std::uint32_t>(node));
-      } else {
-        // Ingress then bucket write, serialized per batch: the additive
-        // Transfer + Write behaviour the paper's implementation exhibits.
-        co_await sh.cluster.compute_ingress(
-            node, static_cast<double>(batch.bytes.size()));
-        obs::StageScope spill_stage(ctx, "gh.spill", ingest_stage.id());
-        co_await scratch.write(static_cast<double>(batch.bytes.size()),
-                               static_cast<std::uint32_t>(node));
+        if (!sh.options.gh_double_buffer) {
+          co_await sh.cluster.engine().wait_until(spill_done);
+        }
       }
       if (spill_counter) spill_counter->add(batch.bytes.size());
 
@@ -632,13 +628,10 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
   }
 
   // --- Phase 2: join bucket pairs independently (no network). ---
-  obs::StageScope join_stage(ctx, "gh.bucket_join", sh.query_span);
+  obs::StageScope join_stage(ctx, "gh.bucket_join", sh.life.span);
   join_stage.tag("node", static_cast<std::uint64_t>(node));
   join_stage.tag("buckets", static_cast<std::uint64_t>(sh.n_buckets));
   ChunkId out_seq = 0;
-  // Double-buffered read-back: the next non-empty bucket's scratch read is
-  // reserved while the CPU joins the current one, so the phase pays
-  // max(Read, Cpu) + one read's fill instead of their sum per bucket.
   std::vector<std::size_t> todo;
   for (std::size_t b = 0; b < sh.n_buckets; ++b) {
     if (!left_buckets[b].empty() || !right_buckets[b].empty()) {
@@ -649,12 +642,10 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
     return static_cast<double>(left_buckets[b].size() +
                                right_buckets[b].size());
   };
-  sim::Time next_read_done = sh.cluster.engine().now();
-  if (sh.options.gh_double_buffer && !todo.empty()) {
-    next_read_done =
-        scratch.reserve_read(bucket_size(todo[0]),
-                             static_cast<std::uint32_t>(node));
-  }
+  // Double-buffered read-back reserves the next non-empty bucket's scratch
+  // read while the CPU joins the current one, so the phase pays
+  // max(Read, Cpu) + one read's fill instead of their sum per bucket.
+  std::optional<sim::Time> read_ahead;
   for (std::size_t t = 0; t < todo.size(); ++t) {
     const std::size_t b = todo[t];
     const double bucket_bytes = bucket_size(b);
@@ -665,17 +656,16 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
     {
       obs::StageScope read_stage(ctx, "gh.bucket_read", join_stage.id());
       read_stage.tag("bucket", static_cast<std::uint64_t>(b));
-      if (sh.options.gh_double_buffer) {
-        const sim::Time ready = next_read_done;
-        if (t + 1 < todo.size()) {
-          next_read_done = scratch.reserve_read(
-              bucket_size(todo[t + 1]), static_cast<std::uint32_t>(node));
-        }
-        co_await sh.cluster.engine().wait_until(ready);
-      } else {
-        co_await scratch.read(bucket_bytes,
-                              static_cast<std::uint32_t>(node));
+      const sim::Time ready =
+          read_ahead ? *read_ahead
+                     : scratch.reserve_read(bucket_bytes,
+                                            static_cast<std::uint32_t>(node));
+      read_ahead.reset();
+      if (sh.options.gh_double_buffer && t + 1 < todo.size()) {
+        read_ahead = scratch.reserve_read(bucket_size(todo[t + 1]),
+                                          static_cast<std::uint32_t>(node));
       }
+      co_await sh.cluster.engine().wait_until(ready);
     }
 
     SubTable left(sh.left_schema, SubTableId{sh.query.left_table, 0});
@@ -728,17 +718,6 @@ double scratch_bytes_read_total(Cluster& cluster) {
   return total;
 }
 
-double storage_read_total(Cluster& cluster) {
-  if (cluster.spec().shared_filesystem) {
-    return cluster.storage_disk(0).bytes_read();
-  }
-  double total = 0;
-  for (std::size_t i = 0; i < cluster.num_storage(); ++i) {
-    total += cluster.storage_disk(i).bytes_read();
-  }
-  return total;
-}
-
 }  // namespace
 
 sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
@@ -782,23 +761,15 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
   sh.computes_left = cluster.num_compute();
   sh.node_work.resize(cluster.num_compute());
 
-  auto* octx = obs::context();
-  if (octx) {
-    sh.trace_id = octx->next_trace_id();
-    sh.query_span = octx->tracer.begin("gh.query");
-    octx->tracer.tag(sh.query_span, "trace_id", sh.trace_id);
-    octx->tracer.tag(sh.query_span, "algorithm", std::string("grace_hash"));
-    sh.sampling = octx->sample_interval > 0;
-  }
+  sh.life.begin("gh.query", "grace_hash");
 
   const double net0 = cluster.network_bytes();
   const double switch0 = cluster.switch_bytes();
   const std::uint64_t frames0 = cluster.network_switch().num_ops();
-  const double sread0 = storage_read_total(cluster);
+  const double sread0 = qes_detail::storage_read_bytes(cluster);
   const double cw0 = scratch_bytes_written(cluster);
   const double cr0 = scratch_bytes_read_total(cluster);
 
-  const double start = engine.now();
   sim::Latch storage_done(engine, cluster.num_storage());
   std::vector<sim::JoinHandle> handles;
   for (std::size_t i = 0; i < cluster.num_storage(); ++i) {
@@ -811,12 +782,7 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
     handles.push_back(
         engine.spawn(gh_compute(sh, j), strformat("gh-compute-%zu", j)));
   }
-  sim::JoinHandle sampler;
-  if (sh.sampling) {
-    sampler = engine.spawn(occupancy_sampler(cluster, octx, sh.probes,
-                                             &sh.done),
-                           "gh-sampler");
-  }
+  sh.life.spawn_sampler("gh-sampler");
   // Join every process, observing all exceptions but surfacing the first
   // (in spawn order — the same one Engine::run would rethrow after a
   // single-query drain).
@@ -829,9 +795,7 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
     }
   }
   if (first_error) {
-    // The query died (e.g. every compute node crashed): close the root
-    // span so a failed query never leaves dangling spans behind.
-    if (octx) octx->tracer.end_orphaned(sh.query_span);
+    sh.life.fail();  // the query died (e.g. every compute node crashed)
     std::rethrow_exception(first_error);
   }
   for (const auto& h : handles) {
@@ -839,12 +803,8 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
   }
 
   QesResult result;
-  // With the sampler on, the engine runs one trailing tick past query
-  // completion; the last compute node's finish time is the real elapsed.
-  result.elapsed =
-      (sh.sampling && sh.finished_at >= 0 ? sh.finished_at : engine.now()) -
-      start;
-  result.partition_phase = sh.partition_phase_end - start;
+  result.elapsed = sh.life.elapsed();
+  result.partition_phase = sh.partition_phase_end - sh.life.start;
   result.join_phase = result.elapsed - result.partition_phase;
   result.result_tuples = sh.result_tuples;
   result.result_fingerprint = sh.fingerprint;
@@ -853,7 +813,8 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
   // GH shuffles every record through the switch regardless of placement
   // (its egress path never uses the local bus), so local bytes stay 0.
   result.cross_switch_bytes = cluster.switch_bytes() - switch0;
-  result.storage_disk_read_bytes = storage_read_total(cluster) - sread0;
+  result.storage_disk_read_bytes =
+      qes_detail::storage_read_bytes(cluster) - sread0;
   result.scratch_write_bytes = scratch_bytes_written(cluster) - cw0;
   result.scratch_read_bytes = scratch_bytes_read_total(cluster) - cr0;
   result.h1_messages_sent = sh.h1_messages_sent;
@@ -864,11 +825,7 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
   result.node_work = std::move(sh.node_work);
   result.degraded = sh.fetch_retries > 0 || sh.rows_repartitioned > 0 ||
                     sh.compute_nodes_lost > 0;
-  if (result.degraded) {
-    if (auto* ctx = obs::context()) {
-      ctx->registry.counter("query.degraded").add(1);
-    }
-  }
+  sh.life.complete(result.degraded);
   if (auto* ctx = obs::context()) {
     ctx->registry.counter("gh.result_tuples").add(sh.result_tuples);
     ctx->registry.gauge("gh.n_buckets")
@@ -878,7 +835,6 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
     ctx->registry.gauge("gh.join_phase_seconds").set(result.join_phase);
     ctx->registry.gauge("gh.elapsed_seconds").set(result.elapsed);
   }
-  if (octx) octx->tracer.end_at(sh.query_span, start + result.elapsed);
   co_return result;
 }
 

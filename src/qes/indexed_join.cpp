@@ -1,23 +1,25 @@
 // Page-level Indexed Join QES (paper Section 4.1).
 //
-// Each compute node runs one QES process over its scheduled pair list:
-// check the local Caching Service for each sub-table, fetch misses from the
-// owning BDS instance, build (and cache) a hash table per left sub-table,
-// probe with the right sub-table. By default fetch and join serialize
-// within a node, matching the cost model's additive Transfer + Cpu
-// decomposition.
+// Each compute node runs one QES process over its scheduled pair list.
+// Every pair goes through one step, ij_join_pair: check the local Caching
+// Service for each sub-table, fetch misses from the owning BDS instance,
+// build (and cache) a hash table per left sub-table, probe with the right
+// sub-table, accumulate the output. By default the node loop calls it pair
+// after pair, so fetch and join serialize within a node — the cost model's
+// additive Transfer + Cpu decomposition.
 //
-// With QesOptions::prefetch_lookahead > 0 each node instead runs a
-// prefetcher coroutine that walks the pair list ahead of the join loop:
-// it fetches missing sub-tables from the BDS (coalescing adjacent chunk
-// reads when fault-free), *pins* them in the Caching Service so eviction
-// cannot undo a prefetch, and hands ready pair indices to the join loop
-// through a bounded channel (capacity = lookahead). The join loop then
-// overlaps Build/Probe with the prefetcher's Transfer, so per-node time
-// approaches max(Transfer, Cpu) — the pipelined cost model. Pins are
-// released when the consumer finishes a pair, or during the drain protocol
-// when a node dies / the prefetcher fails, so fault-reassignment never
-// leaks a pin into a persistent session cache.
+// With QesOptions::prefetch_lookahead > 0 each node also runs a prefetcher
+// coroutine that walks the pair list ahead of the join loop: it fetches
+// missing sub-tables from the BDS (coalescing adjacent chunk reads when
+// fault-free), *pins* them in the Caching Service so eviction cannot undo
+// a prefetch, and hands ready pair indices to the join loop through a
+// bounded channel (capacity = lookahead). The join loop runs the same pair
+// step on each received pair — now mostly cache hits — so Build/Probe
+// overlaps the prefetcher's Transfer and per-node time approaches
+// max(Transfer, Cpu), the pipelined cost model. Pins are released when
+// the consumer finishes a pair, or during the drain protocol when a node
+// dies / the prefetcher fails, so fault-reassignment never leaks a pin
+// into a persistent session cache.
 
 #include <algorithm>
 #include <optional>
@@ -37,24 +39,11 @@ namespace orv {
 
 namespace {
 
-/// Sum of bytes read from the distinct storage-side disks (one NFS server
-/// in shared-filesystem mode, n_s spindles otherwise).
-double storage_read_bytes(Cluster& cluster) {
-  if (cluster.spec().shared_filesystem) {
-    return cluster.storage_disk(0).bytes_read();
-  }
-  double total = 0;
-  for (std::size_t i = 0; i < cluster.num_storage(); ++i) {
-    total += cluster.storage_disk(i).bytes_read();
-  }
-  return total;
-}
-
 struct IjShared {
   IjShared(Cluster& c, BdsService& b, const MetaDataService& m,
            const JoinQuery& q, const QesOptions& o, SchemaPtr schema)
       : cluster(c), bds(b), meta(m), query(q), options(o),
-        result_schema(std::move(schema)) {}
+        result_schema(std::move(schema)), life(c) {}
 
   Cluster& cluster;
   BdsService& bds;
@@ -91,34 +80,47 @@ struct IjShared {
   /// joined, bytes fetched. Accumulates across supervisor rounds.
   std::vector<QesResult::NodeWork> node_work;
 
-  // Trace-context plumbing: the query's trace id and root span, the
-  // supervisor span node spans parent on, and the supervisor's completion
-  // signal for the occupancy sampler (which must not keep the engine
-  // alive, and whose trailing tick must not inflate `elapsed`).
-  std::uint64_t trace_id = 0;
-  obs::SpanId query_span;
-  bool sampling = false;
-  bool done = false;
-  double finished_at = -1;
-  ProbeSet probes;
+  // Root span, trace id, occupancy sampler and completion time. The
+  // supervisor span node spans parent on opens under life.span.
+  QueryLifecycle life;
 };
 
-void merge_cache_stats(CachingService::Stats& into,
-                       const CachingService::Stats& from) {
-  into.hits += from.hits;
-  into.misses += from.misses;
-  into.evictions += from.evictions;
-  into.bytes_evicted += from.bytes_evicted;
-  into.puts += from.puts;
-  into.invalidations += from.invalidations;
+/// One BDS round trip for `ids` on behalf of `node`, with the query's
+/// selection applied the way the options ask: pushed down to the storage
+/// node (fewer bytes on the wire) or filtered on arrival. `raw` skips it —
+/// persistent-cache mode caches raw sub-tables and filters join outputs
+/// instead. `batched` takes the coalesced multi-chunk path (every id on
+/// one storage node). The kept bytes are booked as the node's fetch work.
+sim::Task<std::vector<std::shared_ptr<const SubTable>>> ij_bds_fetch(
+    IjShared& sh, std::size_t node, bool raw, std::vector<SubTableId> ids,
+    bool batched, obs::TraceContext rpc) {
+  const bool select = !raw && !sh.query.ranges.empty();
+  const std::vector<AttrRange>* pushed =
+      select && sh.options.pushdown_selection ? &sh.query.ranges : nullptr;
+  BdsInstance& bds = sh.bds.instance_for(ids.front());
+  std::vector<std::shared_ptr<const SubTable>> tables;
+  if (batched) {
+    tables = co_await bds.fetch_batch_to_compute(std::move(ids), node, pushed,
+                                                 rpc);
+  } else {
+    tables.push_back(
+        co_await bds.fetch_to_compute(ids.front(), node, pushed, rpc));
+  }
+  for (auto& st : tables) {
+    if (select && pushed == nullptr) {
+      st = std::make_shared<const SubTable>(
+          filter_rows(*st, st->schema(), sh.query.ranges));
+    }
+    sh.node_work[node].bytes += static_cast<double>(st->size_bytes());
+  }
+  co_return tables;
 }
 
-/// One fetch from the owning BDS instance, with the query's selection
-/// applied per the options (`raw` skips filtering: persistent-cache mode
-/// caches raw). Retryable I/O failures (injected read errors, RPC
-/// timeouts against a down storage node) back off exponentially and try
-/// again; exhausting the budget invalidates any stale cache entry for the
-/// id and surfaces a clean FaultError.
+/// One fetch from the owning BDS instance (ij_bds_fetch). Retryable I/O
+/// failures (injected read errors, RPC timeouts against a down storage
+/// node) back off exponentially and try again; exhausting the budget
+/// invalidates any stale cache entry for the id and surfaces a clean
+/// FaultError.
 sim::Task<std::shared_ptr<const SubTable>> fetch_subtable(
     IjShared& sh, SubTableId id, std::size_t node, bool raw,
     CachingService& cache, obs::SpanId* fetch_span = nullptr) {
@@ -128,30 +130,16 @@ sim::Task<std::shared_ptr<const SubTable>> fetch_subtable(
   auto* inj = fault::context();
   const fault::RetryPolicy policy =
       inj ? inj->plan().retry : fault::RetryPolicy{};
-  const bool pushdown =
-      !raw && sh.options.pushdown_selection && !sh.query.ranges.empty();
   for (int attempt = 0;; ++attempt) {
     if (attempt > 0) {
       co_await sh.cluster.engine().sleep(policy.backoff(attempt));
     }
     try {
-      std::shared_ptr<const SubTable> st;
-      const obs::TraceContext rpc{sh.trace_id, stage.id()};
       if (attempt > 0) stage.tag("retry", static_cast<std::uint64_t>(attempt));
-      if (pushdown) {
-        // Selection pushed to the storage node: fewer bytes on the wire.
-        st = co_await sh.bds.instance_for(id).fetch_to_compute(
-            id, node, &sh.query.ranges, rpc);
-      } else {
-        st = co_await sh.bds.instance_for(id).fetch_to_compute(id, node,
-                                                               nullptr, rpc);
-      }
-      if (!raw && !pushdown && !sh.query.ranges.empty()) {
-        st = std::make_shared<const SubTable>(
-            filter_rows(*st, st->schema(), sh.query.ranges));
-      }
-      sh.node_work[node].bytes += static_cast<double>(st->size_bytes());
-      co_return st;
+      auto tables =
+          co_await ij_bds_fetch(sh, node, raw, std::vector<SubTableId>(1, id),
+                                false, {sh.life.trace_id, stage.id()});
+      co_return std::move(tables.front());
     } catch (const IoError& e) {
       cache.invalidate(id);  // a cached copy of a failing source is suspect
       if (!inj) throw;       // genuine device error: not ours to mask
@@ -267,20 +255,10 @@ sim::Task<> ij_prefetch_fetch(IjShared& sh, std::size_t node, bool raw,
     stage.tag("batch", static_cast<std::uint64_t>(batch.size()));
     ps.pair_fetch_span[pair_idx] = stage.id();
     sh.fetches += batch.size();
-    const bool pushdown =
-        !raw && sh.options.pushdown_selection && !sh.query.ranges.empty();
-    auto tables =
-        co_await sh.bds.instance(loc.storage_node)
-            .fetch_batch_to_compute(batch, node,
-                                    pushdown ? &sh.query.ranges : nullptr,
-                                    obs::TraceContext{sh.trace_id, stage.id()});
+    auto tables = co_await ij_bds_fetch(sh, node, raw, batch, true,
+                                        {sh.life.trace_id, stage.id()});
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      auto st = std::move(tables[i]);
-      if (!raw && !pushdown && !sh.query.ranges.empty()) {
-        st = std::make_shared<const SubTable>(
-            filter_rows(*st, st->schema(), sh.query.ranges));
-      }
-      cache.put_pinned(batch[i], std::move(st));
+      cache.put_pinned(batch[i], std::move(tables[i]));
       if (i > 0) {
         ++ps.credits[batch[i]];
         ps.credit_span[batch[i]] = stage.id();
@@ -343,11 +321,78 @@ sim::Task<> ij_prefetcher(IjShared& sh, std::size_t node, bool raw,
   ps.ch.close();
 }
 
+/// The per-pair step both node loops run: both sides from the cache
+/// (fetched on a miss — in the pipelined loop only when an entry was
+/// doomed while pinned, i.e. a failing re-fetch invalidated it), the left
+/// side's hash table built once and cached, the probe charged, then the
+/// output materialized, filtered (persistent caches hold raw sub-tables;
+/// the selection over the join output is equivalent for conjunctive
+/// per-attribute ranges, since key attrs survive the join), accumulated
+/// and handed to the result sink.
+///
+/// Fail-stop checks bracket the pair: once the node's crash time has
+/// passed it abandons the pair *before* accumulating its output, so every
+/// pair's result is emitted exactly once (here or at the surviving node
+/// the supervisor re-assigns it to). Returns true iff the node died.
+sim::Task<bool> ij_join_pair(IjShared& sh, std::size_t node,
+                             const SubTablePair& pair, bool persistent,
+                             CachingService& cache, ChunkId& out_seq) {
+  auto* inj = fault::context();
+  if (inj && inj->compute_down(node)) co_return true;
+  const auto& hw = sh.cluster.spec().hw;
+  const double factor = sh.options.cpu_work_factor;
+  auto& cpu = sh.cluster.compute_cpu(node);
+
+  // Left sub-table + its hash table (built once, cached).
+  auto left = cache.get(pair.left);
+  if (!left) {
+    left = co_await fetch_subtable(sh, pair.left, node, persistent, cache);
+    cache.put(pair.left, left);
+  }
+  auto ht = cache.get_hash_table(pair.left);
+  if (!ht) {
+    obs::StageScope build_stage(obs::context(), "ij.build",
+                                sh.node_spans[node]);
+    co_await cpu.use(hw.gamma_build * factor *
+                     static_cast<double>(left->num_rows()));
+    ht = std::make_shared<const BuiltHashTable>(left, sh.query.join_attrs);
+    cache.attach_hash_table(pair.left, ht);
+    ++sh.builds;
+    sh.stats.build_tuples += left->num_rows();
+    build_stage.tag("rows", left->num_rows());
+  }
+  if (inj && inj->compute_down(node)) co_return true;  // fetches take time
+
+  // Right sub-table.
+  auto right = cache.get(pair.right);
+  if (!right) {
+    right = co_await fetch_subtable(sh, pair.right, node, persistent, cache);
+    cache.put(pair.right, right);
+  }
+
+  // Probe: one lookup per right record (join selectivity 1 per Sec. 5).
+  obs::StageScope probe_stage(obs::context(), "ij.probe", sh.node_spans[node]);
+  co_await cpu.use(hw.gamma_lookup * factor *
+                   static_cast<double>(right->num_rows()));
+  if (inj && inj->compute_down(node)) co_return true;  // pre-accumulation
+  SubTable out(sh.result_schema, SubTableId{0, out_seq++});
+  const JoinStats s = ht->probe(*right, sh.query.join_attrs, out);
+  probe_stage.tag("rows", right->num_rows());
+  probe_stage.close();
+  sh.stats.probe_tuples += s.probe_tuples;
+  if (persistent && !sh.query.ranges.empty()) {
+    out = filter_rows(out, out.schema(), sh.query.ranges);
+  }
+  sh.stats.result_tuples += out.num_rows();
+  sh.result_tuples += out.num_rows();
+  sh.fingerprint += out.unordered_fingerprint();
+  if (sh.options.result_sink) sh.options.result_sink(node, out);
+  co_return false;
+}
+
 sim::Task<> ij_node(IjShared& sh, std::size_t node,
                     std::vector<SubTablePair> pairs, obs::TraceContext rpc,
                     std::uint64_t round) {
-  const auto& hw = sh.cluster.spec().hw;
-  const double factor = sh.options.cpu_work_factor;
   const std::uint64_t capacity = sh.options.cache_bytes
                                      ? sh.options.cache_bytes
                                      : sh.cluster.memory_bytes();
@@ -361,7 +406,6 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
   CachingService& cache =
       persistent ? *(*sh.options.node_caches)[node] : local_cache;
   const CachingService::Stats stats_before = cache.stats();
-  auto& cpu = sh.cluster.compute_cpu(node);
   ChunkId out_seq = 0;
 
   const double node_start = sh.cluster.engine().now();
@@ -371,8 +415,8 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
   if (round > 0) node_stage.tag("round", round);
   sh.node_spans[node] = node_stage.id();
 
-  ProbeGuard node_probes(sh.probes);
-  if (sh.sampling) {
+  ProbeGuard node_probes(sh.life);
+  if (sh.life.sampling) {
     node_probes.add(strformat("cache.bytes[%zu]", node),
                     [&cache] { return static_cast<double>(cache.used_bytes()); });
     node_probes.add(strformat("cache.pins[%zu]", node), [&cache] {
@@ -384,12 +428,13 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
   bool died = false;
   std::size_t next = 0;  // first pair whose output has NOT been accumulated
   if (sh.options.prefetch_lookahead > 0 && !pairs.empty()) {
-    // Pipelined path: the prefetcher fetches + pins ahead while this loop
-    // builds and probes, overlapping Transfer with Cpu.
+    // Pipelined: the prefetcher fetches + pins ahead while this loop runs
+    // the pair step on each pair it publishes, overlapping Transfer with
+    // Cpu.
     IjPrefetchState ps(sh.cluster.engine(), sh.options.prefetch_lookahead);
     ps.pair_fetch_span.resize(pairs.size());
-    ProbeGuard ch_probe(sh.probes);
-    if (sh.sampling) {
+    ProbeGuard ch_probe(sh.life);
+    if (sh.life.sampling) {
       ch_probe.add(strformat("prefetch.depth[%zu]", node), [&ps] {
         return static_cast<double>(ps.ch.size());
       });
@@ -416,75 +461,23 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
           }
         }
         wait_stage.close();
-        if (!idx) break;  // prefetcher done (or failed: checked below)
+        if (!idx) {
+          // Prefetcher done, failed (checked below), or stopped early
+          // because it saw this node die: the unreached pairs are then
+          // orphaned work, exactly as if the pair step had seen the crash.
+          died = next < pairs.size() && inj && inj->compute_down(node);
+          break;
+        }
         sh.consumer_wait += sh.cluster.engine().now() - wait_from;
         ORV_CHECK(*idx == next, "prefetched pairs must arrive in order");
+        // The in-flight pair's pins are released by the shutdown protocol
+        // below if the pair is abandoned.
         inflight = *idx;
-        const auto& pair = pairs[next];
-        // Same fail-stop bracketing as the serial path: abandon the pair
-        // *before* accumulating its output. The in-flight pair's pins are
-        // released by the shutdown protocol below.
-        if (inj && inj->compute_down(node)) {
-          died = true;
-          break;
-        }
-
-        auto left = cache.get(pair.left);
-        if (!left) {
-          // Doomed while pinned (a failing re-fetch of the same chunk
-          // invalidated it): fetch fresh, serial-path style.
-          left =
-              co_await fetch_subtable(sh, pair.left, node, persistent, cache);
-          cache.put(pair.left, left);
-        }
-        auto ht = cache.get_hash_table(pair.left);
-        if (!ht) {
-          obs::StageScope build_stage(obs::context(), "ij.build",
-                                      node_stage.id());
-          co_await cpu.use(hw.gamma_build * factor *
-                           static_cast<double>(left->num_rows()));
-          ht = std::make_shared<const BuiltHashTable>(left,
-                                                      sh.query.join_attrs);
-          cache.attach_hash_table(pair.left, ht);
-          ++sh.builds;
-          sh.stats.build_tuples += left->num_rows();
-          build_stage.tag("rows", left->num_rows());
-        }
-        if (inj && inj->compute_down(node)) {
-          died = true;
-          break;
-        }
-
-        auto right = cache.get(pair.right);
-        if (!right) {
-          right =
-              co_await fetch_subtable(sh, pair.right, node, persistent, cache);
-          cache.put(pair.right, right);
-        }
-
-        obs::StageScope probe_stage(obs::context(), "ij.probe",
-                                    node_stage.id());
-        co_await cpu.use(hw.gamma_lookup * factor *
-                         static_cast<double>(right->num_rows()));
-        if (inj && inj->compute_down(node)) {  // pre-accumulation check
-          probe_stage.close();
-          died = true;
-          break;
-        }
-        SubTable out(sh.result_schema, SubTableId{0, out_seq++});
-        const JoinStats s = ht->probe(*right, sh.query.join_attrs, out);
-        probe_stage.tag("rows", right->num_rows());
-        probe_stage.close();
-        sh.stats.probe_tuples += s.probe_tuples;
-        if (persistent && !sh.query.ranges.empty()) {
-          out = filter_rows(out, out.schema(), sh.query.ranges);
-        }
-        sh.stats.result_tuples += out.num_rows();
-        sh.result_tuples += out.num_rows();
-        sh.fingerprint += out.unordered_fingerprint();
-        if (sh.options.result_sink) sh.options.result_sink(node, out);
-        cache.unpin(pair.left);
-        cache.unpin(pair.right);
+        died = co_await ij_join_pair(sh, node, pairs[next], persistent, cache,
+                                     out_seq);
+        if (died) break;
+        cache.unpin(pairs[next].left);
+        cache.unpin(pairs[next].right);
         inflight.reset();
         ++next;
       }
@@ -515,72 +508,12 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
     // error — the pair is orphaned work for the supervisor.
     if (!died && ps.error) std::rethrow_exception(ps.error);
   } else {
-  for (; next < pairs.size(); ++next) {
-    const auto& pair = pairs[next];
-    // Fail-stop checks bracket each pair: once the node's crash time has
-    // passed it abandons the current pair *before* accumulating its output,
-    // so every pair's result is emitted exactly once (here or at the
-    // surviving node the supervisor re-assigns it to).
-    if (inj && inj->compute_down(node)) {
-      died = true;
-      break;
+    for (; next < pairs.size(); ++next) {
+      died = co_await ij_join_pair(sh, node, pairs[next], persistent, cache,
+                                   out_seq);
+      if (died) break;
     }
-
-    // Left sub-table + its hash table (built once, cached).
-    auto left = cache.get(pair.left);
-    if (!left) {
-      left = co_await fetch_subtable(sh, pair.left, node, persistent, cache);
-      cache.put(pair.left, left);
-    }
-    auto ht = cache.get_hash_table(pair.left);
-    if (!ht) {
-      obs::StageScope build_stage(obs::context(), "ij.build",
-                                  node_stage.id());
-      co_await cpu.use(hw.gamma_build * factor *
-                       static_cast<double>(left->num_rows()));
-      ht = std::make_shared<const BuiltHashTable>(left, sh.query.join_attrs);
-      cache.attach_hash_table(pair.left, ht);
-      ++sh.builds;
-      sh.stats.build_tuples += left->num_rows();
-      build_stage.tag("rows", left->num_rows());
-    }
-    if (inj && inj->compute_down(node)) {  // mid-pair: fetches take time
-      died = true;
-      break;
-    }
-
-    // Right sub-table.
-    auto right = cache.get(pair.right);
-    if (!right) {
-      right = co_await fetch_subtable(sh, pair.right, node, persistent, cache);
-      cache.put(pair.right, right);
-    }
-
-    // Probe: one lookup per right record (join selectivity 1 per Sec. 5).
-    obs::StageScope probe_stage(obs::context(), "ij.probe", node_stage.id());
-    co_await cpu.use(hw.gamma_lookup * factor *
-                     static_cast<double>(right->num_rows()));
-    if (inj && inj->compute_down(node)) {  // pre-accumulation check
-      probe_stage.close();
-      died = true;
-      break;
-    }
-    SubTable out(sh.result_schema, SubTableId{0, out_seq++});
-    const JoinStats s = ht->probe(*right, sh.query.join_attrs, out);
-    probe_stage.tag("rows", right->num_rows());
-    probe_stage.close();
-    sh.stats.probe_tuples += s.probe_tuples;
-    if (persistent && !sh.query.ranges.empty()) {
-      // Selection over the join output: equivalent to filtering the inputs
-      // for conjunctive per-attribute ranges (key attrs survive the join).
-      out = filter_rows(out, out.schema(), sh.query.ranges);
-    }
-    sh.stats.result_tuples += out.num_rows();
-    sh.result_tuples += out.num_rows();
-    sh.fingerprint += out.unordered_fingerprint();
-    if (sh.options.result_sink) sh.options.result_sink(node, out);
   }
-  }  // serial path
   if (died) {
     inj->note_crash_observed(fault::NodeKind::Compute, node);
     sh.dead[node] = 1;
@@ -600,14 +533,7 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
   nw.items += next;  // pairs whose output this node accumulated
 
   // Report only this run's cache activity (session caches accumulate).
-  CachingService::Stats delta = cache.stats();
-  delta.hits -= stats_before.hits;
-  delta.misses -= stats_before.misses;
-  delta.evictions -= stats_before.evictions;
-  delta.bytes_evicted -= stats_before.bytes_evicted;
-  delta.puts -= stats_before.puts;
-  delta.invalidations -= stats_before.invalidations;
-  merge_cache_stats(sh.cache_total, delta);
+  sh.cache_total += cache.stats() - stats_before;
 }
 
 /// Spawns one worker per compute node, then supervises: when workers die
@@ -623,14 +549,10 @@ sim::Task<> ij_supervisor(IjShared& sh,
   // the occupancy sampler and pin down the query's true completion time:
   // a sampler tick after this frame unwinds advances engine.now() past it.
   struct Finished {
-    IjShared& sh;
-    sim::Engine& engine;
-    ~Finished() {
-      sh.done = true;
-      sh.finished_at = engine.now();
-    }
-  } finished{sh, engine};
-  obs::StageScope sup_stage(obs::context(), "ij.supervisor", sh.query_span);
+    QueryLifecycle& life;
+    ~Finished() { life.finish(); }
+  } finished{sh.life};
+  obs::StageScope sup_stage(obs::context(), "ij.supervisor", sh.life.span);
   std::vector<char> alive(work.size(), 1);
   bool first_round = true;
   std::uint64_t round = 0;
@@ -643,7 +565,7 @@ sim::Task<> ij_supervisor(IjShared& sh,
       if (!first_round && work[j].empty()) continue;
       handles.push_back(engine.spawn(
           ij_node(sh, j, std::move(work[j]),
-                  obs::TraceContext{sh.trace_id, sup_stage.id()}, round),
+                  obs::TraceContext{sh.life.trace_id, sup_stage.id()}, round),
           strformat("ij-node-%zu", j)));
     }
     first_round = false;
@@ -737,46 +659,25 @@ sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
   const double net0 = cluster.network_bytes();
   const double switch0 = cluster.switch_bytes();
   const double local0 = cluster.local_bytes();
-  const double sread0 = storage_read_bytes(cluster);
+  const double sread0 = qes_detail::storage_read_bytes(cluster);
 
   sh.node_spans.resize(cluster.num_compute());
   sh.node_work.resize(cluster.num_compute());
   sh.dead.assign(cluster.num_compute(), 0);
-  const double start = engine.now();
-  auto* octx = obs::context();
-  if (octx) {
-    sh.trace_id = octx->next_trace_id();
-    sh.query_span = octx->tracer.begin("ij.query");
-    octx->tracer.tag(sh.query_span, "trace_id", sh.trace_id);
-    octx->tracer.tag(sh.query_span, "algorithm", std::string("indexed_join"));
-    sh.sampling = octx->sample_interval > 0;
-  }
+  sh.life.begin("ij.query", "indexed_join");
   const sim::JoinHandle sup = engine.spawn(
       ij_supervisor(sh, std::move(schedule.pairs_per_node)), "ij-supervisor");
-  sim::JoinHandle sampler;
-  if (sh.sampling) {
-    sampler = engine.spawn(occupancy_sampler(cluster, octx, sh.probes, &sh.done),
-                           "ij-sampler");
-  }
+  sh.life.spawn_sampler("ij-sampler");
   try {
     co_await sup.join();
   } catch (...) {
-    // The query died (e.g. unrecoverable fault): close the root span so a
-    // failed query never leaves dangling spans behind.
-    if (octx) octx->tracer.end_orphaned(sh.query_span);
+    sh.life.fail();  // the query died (e.g. unrecoverable fault)
     throw;
   }
   ORV_CHECK(sup.done(), "IJ supervisor did not finish");
 
   QesResult result;
-  // With the sampler on, its trailing wake-up advances engine.now() past
-  // query completion; the supervisor recorded the true finish time.
-  result.elapsed =
-      (sh.sampling && sh.finished_at >= 0 ? sh.finished_at : engine.now()) -
-      start;
-  if (octx) {
-    octx->tracer.end_at(sh.query_span, start + result.elapsed);
-  }
+  result.elapsed = sh.life.elapsed();
   result.join_phase = result.elapsed;
   result.result_tuples = sh.result_tuples;
   result.result_fingerprint = sh.fingerprint;
@@ -787,7 +688,8 @@ sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
   result.network_bytes = cluster.network_bytes() - net0;
   result.cross_switch_bytes = cluster.switch_bytes() - switch0;
   result.local_transfer_bytes = cluster.local_bytes() - local0;
-  result.storage_disk_read_bytes = storage_read_bytes(cluster) - sread0;
+  result.storage_disk_read_bytes =
+      qes_detail::storage_read_bytes(cluster) - sread0;
   result.fetch_retries = sh.fetch_retries;
   result.pairs_reassigned = sh.pairs_reassigned;
   result.compute_nodes_lost = sh.compute_nodes_lost;
@@ -802,11 +704,7 @@ sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
   }
   result.degraded = sh.fetch_retries > 0 || sh.pairs_reassigned > 0 ||
                     sh.compute_nodes_lost > 0;
-  if (result.degraded) {
-    if (auto* ctx = obs::context()) {
-      ctx->registry.counter("query.degraded").add(1);
-    }
-  }
+  sh.life.complete(result.degraded);
   if (auto* ctx = obs::context()) {
     ctx->registry.counter("ij.subtable_fetches").add(sh.fetches);
     ctx->registry.counter("ij.hash_tables_built").add(sh.builds);

@@ -98,13 +98,6 @@ struct QesOptions {
   /// phase pays max(Transfer, Write) / max(Read, Cpu) instead of the sum.
   bool gh_double_buffer = false;
 
-  /// Pricing-side flush threshold of the network message aggregator:
-  /// logical messages combined per physical frame. 0 (default) prices the
-  /// unaggregated network. This knob only feeds the cost model — the
-  /// executor is driven by the *installed* net::MessageAggregator, and the
-  /// planner/benches keep the two in sync.
-  std::size_t agg_flush_batches = 0;
-
   /// True when any overlap pipeline is enabled; the QPS selects the
   /// pipelined cost models iff this holds.
   bool pipelined() const { return prefetch_lookahead > 0 || gh_double_buffer; }
@@ -249,6 +242,9 @@ namespace qes_detail {
 /// single-query path shared by both run_* wrappers.
 QesResult run_query_task(sim::Engine& engine, sim::Task<QesResult> task,
                          const char* name);
+/// Sum of bytes read from the distinct storage-side disks (one NFS server
+/// in shared-filesystem mode, n_s spindles otherwise).
+double storage_read_bytes(Cluster& cluster);
 }  // namespace qes_detail
 
 /// Reference result (no simulation): concatenates all matching sub-tables

@@ -3,6 +3,7 @@
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "qes/qes.hpp"
+#include "qes/sampler.hpp"
 
 namespace orv {
 
@@ -33,7 +34,52 @@ QesResult run_query_task(sim::Engine& engine, sim::Task<QesResult> task,
   return std::move(box->result);
 }
 
+double storage_read_bytes(Cluster& cluster) {
+  if (cluster.spec().shared_filesystem) {
+    return cluster.storage_disk(0).bytes_read();
+  }
+  double total = 0;
+  for (std::size_t i = 0; i < cluster.num_storage(); ++i) {
+    total += cluster.storage_disk(i).bytes_read();
+  }
+  return total;
+}
+
 }  // namespace qes_detail
+
+void QueryLifecycle::begin(const char* span_name, const char* algorithm) {
+  start = cluster.engine().now();
+  ctx = obs::context();
+  if (ctx == nullptr) return;
+  trace_id = ctx->next_trace_id();
+  span = ctx->tracer.begin(span_name);
+  ctx->tracer.tag(span, "trace_id", trace_id);
+  ctx->tracer.tag(span, "algorithm", std::string(algorithm));
+  sampling = ctx->sample_interval > 0;
+}
+
+void QueryLifecycle::spawn_sampler(const char* name) {
+  if (sampling) {
+    cluster.engine().spawn(occupancy_sampler(cluster, ctx, probes, &done),
+                           name);
+  }
+}
+
+double QueryLifecycle::elapsed() const {
+  return (sampling && finished_at >= 0 ? finished_at
+                                       : cluster.engine().now()) -
+         start;
+}
+
+void QueryLifecycle::complete(bool degraded) {
+  if (ctx == nullptr) return;
+  ctx->tracer.end_at(span, start + elapsed());
+  if (degraded) ctx->registry.counter("query.degraded").add(1);
+}
+
+void QueryLifecycle::fail() {
+  if (ctx) ctx->tracer.end_orphaned(span);
+}
 
 SubTable filter_rows(const SubTable& st, const Schema& schema,
                      const std::vector<AttrRange>& ranges) {

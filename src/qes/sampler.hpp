@@ -1,15 +1,20 @@
 #pragma once
 
-// Sim-time occupancy sampler (tentpole part 3): a coroutine that wakes at
-// fixed virtual intervals and records resource occupancy — storage disk,
-// NIC and switch busy-time deltas — plus whatever gauge probes the running
-// join registered (cache bytes, pin counts, prefetch-channel depth) into
-// the ObsContext's time series. The joins only spawn it when an ObsContext
+// Sim-time occupancy sampler: a coroutine that wakes at fixed virtual
+// intervals and records resource occupancy — storage disk, NIC and switch
+// busy-time deltas — plus whatever gauge probes the running join
+// registered (cache bytes, pin counts, prefetch-channel depth) into the
+// ObsContext's time series. The joins only spawn it when an ObsContext
 // with a positive sample_interval is installed, so default runs schedule
 // no extra events and stay event-for-event identical.
+//
+// QueryLifecycle wraps it with the rest of the per-query scaffolding both
+// join executors share: the root span, the trace id and the measured
+// elapsed time.
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,35 +29,6 @@ namespace orv {
 /// Gauge probes registered by a join while their referents are alive.
 struct ProbeSet {
   std::vector<std::pair<std::string, std::function<double()>>> entries;
-};
-
-/// RAII registration: probes added through a guard are removed when the
-/// guard leaves scope, before the cache / channel they read is destroyed.
-class ProbeGuard {
- public:
-  explicit ProbeGuard(ProbeSet& set) : set_(set) {}
-  ProbeGuard(const ProbeGuard&) = delete;
-  ProbeGuard& operator=(const ProbeGuard&) = delete;
-  ~ProbeGuard() {
-    for (const std::string& name : names_) {
-      auto& e = set_.entries;
-      for (std::size_t i = 0; i < e.size(); ++i) {
-        if (e[i].first == name) {
-          e.erase(e.begin() + i);
-          break;
-        }
-      }
-    }
-  }
-
-  void add(std::string name, std::function<double()> probe) {
-    names_.push_back(name);
-    set_.entries.emplace_back(std::move(name), std::move(probe));
-  }
-
- private:
-  ProbeSet& set_;
-  std::vector<std::string> names_;
 };
 
 /// Samples until `*done` (set by the query's supervisor on every exit
@@ -98,5 +74,82 @@ inline sim::Task<> occupancy_sampler(Cluster& cluster, obs::ObsContext* ctx,
     }
   }
 }
+
+/// One distributed join query's lifecycle, shared by the Indexed Join and
+/// Grace Hash executors: begin() opens the root span (tagged with a fresh
+/// trace id and the algorithm), spawn_sampler() starts the occupancy
+/// sampler, finish() records the true completion instant on every exit
+/// path, and complete() / fail() close the root span.
+struct QueryLifecycle {
+  explicit QueryLifecycle(Cluster& c) : cluster(c) {}
+
+  /// Marks the query's start; opens the root span when an ObsContext is
+  /// installed.
+  void begin(const char* span_name, const char* algorithm);
+  /// Spawns the occupancy sampler iff sampling; call after the workers.
+  void spawn_sampler(const char* name);
+  /// The query is over: stops the sampler and pins the completion time.
+  void finish() {
+    done = true;
+    finished_at = cluster.engine().now();
+  }
+  /// Virtual seconds since begin(). With the sampler on, its trailing tick
+  /// advances engine.now() past completion, so finish()'s instant counts.
+  double elapsed() const;
+  /// Successful query: closes the root span at start + elapsed() and
+  /// mirrors a degraded run into the query.degraded counter.
+  void complete(bool degraded);
+  /// Failed query: closes the root span as orphaned, so a failed query
+  /// never leaves dangling spans behind.
+  void fail();
+
+  Cluster& cluster;
+  obs::ObsContext* ctx = nullptr;
+  std::uint64_t trace_id = 0;
+  obs::SpanId span;  // the root span worker spans parent on
+  bool sampling = false;
+  bool done = false;
+  double start = 0;
+  double finished_at = -1;
+  ProbeSet probes;
+  /// Expires with the lifecycle, i.e. with the query's state. A failed
+  /// query can leave workers parked forever (Grace Hash receivers on a
+  /// channel nobody closes); the engine destroys their frames after the
+  /// query's frame, so worker exit guards check this before touching the
+  /// state.
+  std::shared_ptr<const char> alive = std::make_shared<const char>();
+};
+
+/// RAII registration: probes added through a guard are removed when the
+/// guard leaves scope, before the cache / channel they read is destroyed.
+class ProbeGuard {
+ public:
+  explicit ProbeGuard(QueryLifecycle& life)
+      : set_(life.probes), alive_(life.alive) {}
+  ProbeGuard(const ProbeGuard&) = delete;
+  ProbeGuard& operator=(const ProbeGuard&) = delete;
+  ~ProbeGuard() {
+    if (alive_.expired()) return;
+    for (const std::string& name : names_) {
+      auto& e = set_.entries;
+      for (std::size_t i = 0; i < e.size(); ++i) {
+        if (e[i].first == name) {
+          e.erase(e.begin() + i);
+          break;
+        }
+      }
+    }
+  }
+
+  void add(std::string name, std::function<double()> probe) {
+    names_.push_back(name);
+    set_.entries.emplace_back(std::move(name), std::move(probe));
+  }
+
+ private:
+  ProbeSet& set_;
+  std::weak_ptr<const char> alive_;
+  std::vector<std::string> names_;
+};
 
 }  // namespace orv

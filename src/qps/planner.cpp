@@ -4,6 +4,7 @@
 
 #include "common/strings.hpp"
 #include "cost/calibration.hpp"
+#include "net/aggregator.hpp"
 #include "obs/calibrate.hpp"
 #include "obs/obs.hpp"
 #include "place/placement.hpp"
@@ -41,15 +42,16 @@ PlanDecision QueryPlanner::plan(const ConnectivityStats& data,
   obs::StageScope stage(obs::context(), "qps.plan");
   PlanDecision d;
   d.params = CostParams::from(cluster_, data, rs_left, rs_right, cpu_factor);
+  // Price the network the executor will run on: the installed message
+  // aggregator's current flush threshold, or one message per frame.
+  if (const auto* agg = net::context()) {
+    d.params.agg_flush_batches = static_cast<double>(agg->flush_batches());
+  }
   if (qes != nullptr) {
     d.params.batch_bytes = static_cast<double>(qes->batch_bytes);
     d.params.bucket_pair_bytes = static_cast<double>(qes->bucket_pair_bytes);
     d.params.prefetch_lookahead =
         static_cast<double>(qes->prefetch_lookahead);
-    if (qes->agg_flush_batches > 0) {
-      d.params.agg_flush_batches =
-          static_cast<double>(qes->agg_flush_batches);
-    }
     if (qes->contention != nullptr && qes->contention->any()) {
       // Shared cluster under load: derate the idle-cluster parameters by
       // the observed residual capacity before costing either algorithm.

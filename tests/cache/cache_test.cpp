@@ -37,6 +37,28 @@ TEST(Cache, HitAndMissStats) {
   EXPECT_DOUBLE_EQ(cache.stats().hit_rate(), 0.5);
 }
 
+TEST(Cache, StatsArithmeticCoversEveryField) {
+  // Distinct values per field, so a field dropped or crossed over by the
+  // operators cannot cancel out.
+  const CachingService::Stats a{10, 20, 30, 40, 50, 60};
+  const CachingService::Stats b{1, 2, 3, 4, 5, 6};
+  CachingService::Stats sum = a;
+  sum += b;
+  EXPECT_EQ(sum.hits, 11u);
+  EXPECT_EQ(sum.misses, 22u);
+  EXPECT_EQ(sum.evictions, 33u);
+  EXPECT_EQ(sum.bytes_evicted, 44u);
+  EXPECT_EQ(sum.puts, 55u);
+  EXPECT_EQ(sum.invalidations, 66u);
+  const CachingService::Stats diff = sum - a;
+  EXPECT_EQ(diff.hits, b.hits);
+  EXPECT_EQ(diff.misses, b.misses);
+  EXPECT_EQ(diff.evictions, b.evictions);
+  EXPECT_EQ(diff.bytes_evicted, b.bytes_evicted);
+  EXPECT_EQ(diff.puts, b.puts);
+  EXPECT_EQ(diff.invalidations, b.invalidations);
+}
+
 TEST(Cache, LruEvictsLeastRecentlyUsed) {
   // Each table: 25 rows * 4 bytes = 100 bytes; capacity for 2.
   CachingService cache(200, CachePolicy::LRU);

@@ -5,10 +5,13 @@
 // accounting leak-free, and stay within the serial cost models' accuracy
 // band when the pipelined models predict them.
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "cost/cost_model.hpp"
 #include "datagen/generator.hpp"
+#include "fault/fault.hpp"
 #include "qes/qes.hpp"
 #include "sim/engine.hpp"
 
@@ -58,16 +61,38 @@ ClusterSpec overlap_cluster() {
   return c;
 }
 
-QesResult run_ij(const QesOptions& options) {
+/// One run on the overlap rig, under `plan`'s injected faults if given.
+QesResult run_on_rig(bool indexed_join, const QesOptions& options,
+                     const fault::FaultPlan* plan = nullptr) {
   TestRig rig(overlap_spec(), overlap_cluster());
-  return run_indexed_join(*rig.cluster, *rig.bds, rig.ds.meta, rig.graph,
-                          rig.query, options);
+  std::optional<fault::FaultInjector> inj;
+  std::optional<fault::ScopedInjector> scoped;
+  if (plan != nullptr) {
+    inj.emplace(rig.engine, *plan);
+    scoped.emplace(*inj);
+  }
+  if (indexed_join) {
+    return run_indexed_join(*rig.cluster, *rig.bds, rig.ds.meta, rig.graph,
+                            rig.query, options);
+  }
+  return run_grace_hash(*rig.cluster, *rig.bds, rig.ds.meta, rig.query,
+                        options);
+}
+
+QesResult run_ij(const QesOptions& options) {
+  return run_on_rig(true, options);
 }
 
 QesResult run_gh(const QesOptions& options) {
-  TestRig rig(overlap_spec(), overlap_cluster());
-  return run_grace_hash(*rig.cluster, *rig.bds, rig.ds.meta, rig.query,
-                        options);
+  return run_on_rig(false, options);
+}
+
+/// Compute node 1 crashes fail-stop at `at` virtual seconds.
+fault::FaultPlan compute_crash_plan(double at) {
+  fault::FaultPlan plan;
+  plan.seed = 11;
+  plan.crashes.push_back({fault::NodeKind::Compute, 1, at, fault::kNever});
+  return plan;
 }
 
 TEST(PipelinedIj, FingerprintIdenticalToSerialAcrossLookaheads) {
@@ -91,6 +116,77 @@ TEST(PipelinedIj, FingerprintIdenticalToSerialAcrossLookaheads) {
       EXPECT_GT(res.prefetch_issued, 0u);
       EXPECT_EQ(res.prefetch_wasted, 0u);  // fault-free: every pin consumed
       EXPECT_LE(res.elapsed, base.elapsed + 1e-12);
+      // Every sub-table is fetched once either way, so each node pulls the
+      // same bytes whether its fetches are serial, prefetched or batched.
+      ASSERT_EQ(res.node_work.size(), base.node_work.size());
+      for (std::size_t n = 0; n < base.node_work.size(); ++n) {
+        EXPECT_EQ(res.node_work[n].bytes, base.node_work[n].bytes)
+            << "node " << n << " lookahead " << la << " coalesce "
+            << coalesce;
+      }
+    }
+  }
+}
+
+TEST(PipelinedIj, ExactIdentityOnTheOverlapRig) {
+  // Exact values of the serial and pipelined paths: elapsed virtual time
+  // compared bit-for-bit (hex-float), the result digest, BDS fetches and
+  // reassigned pairs. Any change to an executor's event sequence moves
+  // elapsed; bench_compare's tolerances would let a small move through.
+  struct Pinned {
+    const char* name;
+    bool indexed_join;
+    std::size_t lookahead;
+    bool double_buffer;
+    double crash_at;  // < 0: fault-free
+    double elapsed;
+    std::uint64_t fetches;
+    std::uint64_t pairs_reassigned;
+  };
+  const std::uint64_t fingerprint = 0x1739997fc83f1b83ull;
+  const Pinned cases[] = {
+      {"ij serial", true, 0, false, -1, 0x1.47d59829eb3edp-8, 288, 0},
+      {"ij lookahead 4", true, 4, false, -1, 0x1.b052d101a4ca3p-9, 288, 0},
+      {"gh serial", false, 0, false, -1, 0x1.2d806d71baedep-7, 0, 0},
+      {"gh double-buffer", false, 0, true, -1, 0x1.24cc69c98fc1p-7, 0, 0},
+      {"ij serial, crash", true, 0, false, 0.002, 0x1.09d1f58150e76p-7, 289,
+       80},
+      {"ij lookahead 4, crash", true, 4, false, 0.002, 0x1.372310f04638bp-8,
+       295, 56},
+  };
+  for (const Pinned& c : cases) {
+    QesOptions opt;
+    opt.cpu_work_factor = 8;
+    opt.prefetch_lookahead = c.lookahead;
+    opt.gh_double_buffer = c.double_buffer;
+    const fault::FaultPlan plan = compute_crash_plan(c.crash_at);
+    const QesResult r =
+        run_on_rig(c.indexed_join, opt, c.crash_at < 0 ? nullptr : &plan);
+    EXPECT_EQ(r.elapsed, c.elapsed) << c.name;
+    EXPECT_EQ(r.result_fingerprint, fingerprint) << c.name;
+    EXPECT_EQ(r.subtable_fetches, c.fetches) << c.name;
+    EXPECT_EQ(r.pairs_reassigned, c.pairs_reassigned) << c.name;
+  }
+}
+
+TEST(PipelinedIj, CrashSeenFirstByThePrefetcherOrphansTheRemainingPairs) {
+  // A node can die while its join loop waits on the channel: the
+  // prefetcher then sees the crash first and closes the channel early.
+  // The unreached pairs must be re-run by a survivor, never dropped.
+  // Crash times sweep both the serial and the pipelined run's busy span.
+  QesOptions serial;
+  serial.cpu_work_factor = 8;
+  const QesResult base = run_ij(serial);
+  for (int step = 1; step <= 30; ++step) {
+    const fault::FaultPlan plan = compute_crash_plan(step * 1e-4);
+    for (std::size_t la : {0u, 4u}) {
+      QesOptions opt = serial;
+      opt.prefetch_lookahead = la;
+      const QesResult r = run_on_rig(true, opt, &plan);
+      EXPECT_EQ(r.result_tuples, base.result_tuples)
+          << "crash at " << step * 1e-4 << " lookahead " << la;
+      EXPECT_EQ(r.result_fingerprint, base.result_fingerprint)
+          << "crash at " << step * 1e-4 << " lookahead " << la;
     }
   }
 }

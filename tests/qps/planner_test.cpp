@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/generator.hpp"
+#include "net/aggregator.hpp"
 #include "sim/engine.hpp"
 
 namespace orv {
@@ -187,9 +188,13 @@ TEST(Planner, AggFlushKnobFlowsIntoThePricedParams) {
   const auto base = planner.plan(stats, 16, 16, 1.0, &plain);
   EXPECT_DOUBLE_EQ(base.params.agg_flush_batches, 1.0);
 
-  QesOptions agg;
-  agg.agg_flush_batches = 16;
-  const auto priced = planner.plan(stats, 16, 16, 1.0, &agg);
+  sim::Engine engine;
+  Cluster cluster(engine, cspec);
+  net::AggregatorConfig cfg;
+  cfg.flush_batches = 16;
+  net::MessageAggregator agg(cluster, cfg);
+  net::ScopedAggregator scoped(agg);
+  const auto priced = planner.plan(stats, 16, 16, 1.0, &plain);
   EXPECT_DOUBLE_EQ(priced.params.agg_flush_batches, 16.0);
   // A nonzero gamma means aggregation makes GH strictly cheaper.
   EXPECT_LT(priced.gh.total(), base.gh.total());
