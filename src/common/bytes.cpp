@@ -8,25 +8,55 @@ namespace orv {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+// Slicing-by-16 tables for the reflected IEEE polynomial. t[0] is the
+// classic bytewise table; t[k][i] is the CRC of byte i followed by k zero
+// bytes, so one lookup per input byte folds a whole 16-byte block.
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 16; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
-  static const auto table = make_crc_table();
+  static_assert(std::endian::native == std::endian::little,
+                "the word loads below assume little-endian byte order");
+  const auto& t = kCrcTables;
   std::uint32_t c = seed;
-  for (std::byte b : data) {
-    c = table[(c ^ static_cast<std::uint8_t>(b)) & 0xffu] ^ (c >> 8);
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 16; p += 16, n -= 16) {
+    std::uint32_t w[4];
+    std::memcpy(w, p, sizeof(w));
+    w[0] ^= c;
+    // Byte j of the block still has 15 - j bytes to pass through.
+    c = t[15][w[0] & 0xffu] ^ t[14][(w[0] >> 8) & 0xffu] ^
+        t[13][(w[0] >> 16) & 0xffu] ^ t[12][w[0] >> 24] ^
+        t[11][w[1] & 0xffu] ^ t[10][(w[1] >> 8) & 0xffu] ^
+        t[9][(w[1] >> 16) & 0xffu] ^ t[8][w[1] >> 24] ^
+        t[7][w[2] & 0xffu] ^ t[6][(w[2] >> 8) & 0xffu] ^
+        t[5][(w[2] >> 16) & 0xffu] ^ t[4][w[2] >> 24] ^
+        t[3][w[3] & 0xffu] ^ t[2][(w[3] >> 8) & 0xffu] ^
+        t[1][(w[3] >> 16) & 0xffu] ^ t[0][w[3] >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ static_cast<std::uint8_t>(*p)) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

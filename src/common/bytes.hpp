@@ -18,7 +18,9 @@
 
 namespace orv {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span, computed
+/// sixteen bytes at a time (slicing-by-16). `seed` is the running register:
+/// pass `crc32(prefix) ^ 0xffffffff` to continue over a following span.
 std::uint32_t crc32(std::span<const std::byte> data,
                     std::uint32_t seed = 0xffffffffu);
 

@@ -23,8 +23,13 @@ constexpr std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t v) {
 }
 
 /// Hash of a span of 64-bit key lanes with a salt. Composite join keys are
-/// canonicalized into lanes by the schema layer.
-std::uint64_t hash_lanes(std::span<const std::uint64_t> lanes,
-                         std::uint64_t salt);
+/// canonicalized into lanes by the schema layer. Inline: it runs once per
+/// row on every build, probe and Grace Hash routing decision.
+inline std::uint64_t hash_lanes(std::span<const std::uint64_t> lanes,
+                                std::uint64_t salt) {
+  std::uint64_t h = mix64(salt ^ 0x243f6a8885a308d3ull);
+  for (std::uint64_t lane : lanes) h = hash_combine(h, lane);
+  return h;
+}
 
 }  // namespace orv

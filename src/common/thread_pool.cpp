@@ -54,7 +54,11 @@ void ThreadPool::run_indices() {
     std::size_t begin, end;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (next_index_ >= job_size_ || first_exception_) return;
+      // A worker can wake for a job that already ended (by an exception
+      // that stopped dispatch part-way); job_fn_ is null once it has.
+      if (job_fn_ == nullptr || next_index_ >= job_size_ || first_exception_) {
+        return;
+      }
       begin = next_index_;
       end = std::min(job_size_, begin + grain_);
       next_index_ = end;

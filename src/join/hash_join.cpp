@@ -24,8 +24,6 @@ std::uint64_t table_capacity_for(std::size_t rows) {
   return std::bit_ceil(wanted);
 }
 
-constexpr std::size_t kMaxKeyArity = 8;
-
 /// One probe hit: probe-row position within the current chunk plus the
 /// matching left row. Kept small so the match buffer stays cache-resident.
 struct Match {
@@ -41,7 +39,6 @@ BuiltHashTable::BuiltHashTable(std::shared_ptr<const SubTable> left,
     : left_(std::move(left)),
       key_(JoinKey::resolve(left_->schema(), key_attrs)),
       options_(options) {
-  ORV_REQUIRE(key_.arity() <= kMaxKeyArity, "join key arity too large");
   ORV_REQUIRE(left_->num_rows() < kEmpty, "left sub-table too large");
   const std::size_t n = left_->num_rows();
   const std::size_t rs = left_->record_size();
@@ -159,6 +156,14 @@ JoinStats BuiltHashTable::probe(const SubTable& right,
   return probe_range(right, right_key_attrs, 0, right.num_rows(), out);
 }
 
+/// The kernel: per chunk, (1) canonicalize and hash all probe rows, (2) in
+/// radix mode regroup the chunk by partition so one partition's structure
+/// stays hot, (3) probe with a rolling software prefetch `probe_batch` rows
+/// ahead, tag byte checked before any Slot load, (4) restore probe-row
+/// order, (5) write joined records directly into the output buffer. Output
+/// row order is that of nested_loop_join: probe-row order, per-row matches
+/// in ascending left-row order (linear probing visits equal-key slots in
+/// insertion order).
 JoinStats BuiltHashTable::probe_range(
     const SubTable& right, const std::vector<std::string>& right_key_attrs,
     std::size_t row_begin, std::size_t row_end, SubTable& out) const {
@@ -166,64 +171,6 @@ JoinStats BuiltHashTable::probe_range(
   ORV_REQUIRE(right_key.compatible_with(key_), "join key arity mismatch");
   ORV_REQUIRE(row_begin <= row_end && row_end <= right.num_rows(),
               "probe row range out of bounds");
-  if (options_.batched_probe) {
-    return probe_range_batched(right, right_key, row_begin, row_end, out);
-  }
-  return probe_range_scalar(right, right_key, row_begin, row_end, out);
-}
-
-/// Legacy kernel: per-row probe with full-hash slot compares and a staging
-/// row buffer. Kept verbatim for A/B comparison (JoinKernelOptions::scalar).
-JoinStats BuiltHashTable::probe_range_scalar(const SubTable& right,
-                                             const JoinKey& right_key,
-                                             std::size_t row_begin,
-                                             std::size_t row_end,
-                                             SubTable& out) const {
-  const RightCopyPlan plan =
-      RightCopyPlan::make(left_->schema(), right.schema(), right_key);
-  ORV_REQUIRE(out.record_size() == plan.result_record_size,
-              "output schema does not match the join result layout");
-
-  JoinStats stats;
-  stats.probe_tuples = row_end - row_begin;
-
-  const std::size_t lrs = left_->record_size();
-  const std::size_t rrs = right.record_size();
-  const std::byte* lrows = left_->bytes().data();
-  const std::byte* rrows = right.bytes().data();
-  std::uint64_t lanes[kMaxKeyArity];
-  std::vector<std::byte> row_buf(plan.result_record_size);
-
-  for (std::size_t r = row_begin; r < row_end; ++r) {
-    const std::byte* rrow = rrows + r * rrs;
-    right_key.extract_lanes(rrow, lanes);
-    const std::uint64_t h = right_key.hash_row(rrow, kSaltInMemory);
-    for_each_match(h, lanes, [&](std::uint32_t lrow_idx) {
-      std::memcpy(row_buf.data(), lrows + lrow_idx * lrs, lrs);
-      for (const auto& piece : plan.pieces) {
-        std::memcpy(row_buf.data() + piece.dst_offset, rrow + piece.src_offset,
-                    piece.size);
-      }
-      out.append_row(row_buf);
-      ++stats.result_tuples;
-    });
-  }
-  return stats;
-}
-
-/// Cache-conscious kernel: per chunk, (1) canonicalize and hash all probe
-/// rows, (2) in radix mode regroup the chunk by partition so one
-/// partition's structure stays hot, (3) probe with a rolling software
-/// prefetch `probe_batch` rows ahead, tag byte checked before any Slot
-/// load, (4) restore probe-row order, (5) write joined records directly
-/// into the output buffer. Output row order matches the scalar path:
-/// probe-row order, per-row matches in ascending left-row order (linear
-/// probing visits equal-key slots in insertion order).
-JoinStats BuiltHashTable::probe_range_batched(const SubTable& right,
-                                              const JoinKey& right_key,
-                                              std::size_t row_begin,
-                                              std::size_t row_end,
-                                              SubTable& out) const {
   const RightCopyPlan plan =
       RightCopyPlan::make(left_->schema(), right.schema(), right_key);
   ORV_REQUIRE(out.record_size() == plan.result_record_size,
@@ -242,14 +189,16 @@ JoinStats BuiltHashTable::probe_range_batched(const SubTable& right,
       std::clamp<std::size_t>(options_.probe_batch, 1, 64);
   const bool radix = parts_.size() > 1;
 
-  std::vector<std::uint64_t> hashes(chunk_rows);
-  std::vector<std::uint64_t> lanes_buf(chunk_rows * arity);
+  // Per-chunk scratch, sized for the rows this call can actually probe.
+  const std::size_t scratch_rows = std::min(chunk_rows, row_end - row_begin);
+  std::vector<std::uint64_t> hashes(scratch_rows);
+  std::vector<std::uint64_t> lanes_buf(scratch_rows * arity);
   std::vector<std::uint32_t> order;       // partition-grouped probe order
   std::vector<std::uint32_t> bucket_pos;  // per-partition cursors
   std::vector<Match> matches;
   std::vector<Match> sorted;
   std::vector<std::uint32_t> emit_pos;  // per-probe-row cursors for restore
-  matches.reserve(chunk_rows);
+  matches.reserve(scratch_rows);
 
   for (std::size_t cb = row_begin; cb < row_end; cb += chunk_rows) {
     const std::size_t cn = std::min(chunk_rows, row_end - cb);

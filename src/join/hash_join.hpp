@@ -20,8 +20,6 @@
 //    tags/slots stay resident while it is probed;
 //  - matched rows are written straight into the output sub-table through
 //    SubTable::append_rows_reserve (no staging row buffer, single copy).
-// The pre-optimization scalar path is kept behind JoinKernelOptions for
-// A/B comparison in benches.
 
 #include <cstdint>
 #include <memory>
@@ -48,12 +46,8 @@ struct JoinStats {
 };
 
 /// Knobs for the in-memory join kernel. Defaults are the tuned
-/// cache-conscious path; `scalar()` restores the legacy kernel (per-row
-/// probe, full-hash slot compares, staged row copies) for A/B benching.
+/// cache-conscious path.
 struct JoinKernelOptions {
-  /// Tag-filtered, prefetch-batched probing with zero-copy output. When
-  /// false, probes run the legacy scalar loop.
-  bool batched_probe = true;
   /// Radix-partition the build when its working set exceeds `l2_bytes`.
   bool radix_build = true;
   /// Probe rows hashed/prefetched per pipeline batch.
@@ -65,13 +59,6 @@ struct JoinKernelOptions {
   std::size_t probe_chunk = 2048;
   /// Hard cap on partition count.
   std::size_t max_partitions = 512;
-
-  static JoinKernelOptions scalar() {
-    JoinKernelOptions o;
-    o.batched_probe = false;
-    o.radix_build = false;
-    return o;
-  }
 };
 
 /// Open-addressing (linear probing) hash table over a left sub-table's key,
@@ -108,7 +95,8 @@ class BuiltHashTable {
   /// executor partitions the probe side across threads with this (the
   /// table is immutable during probing, so concurrent calls are safe).
   /// Output row order is probe-row order with per-row matches in ascending
-  /// left-row order, identical across scalar/batched/radix paths.
+  /// left-row order (that of nested_loop_join), with or without radix
+  /// partitioning.
   JoinStats probe_range(const SubTable& right,
                         const std::vector<std::string>& right_key_attrs,
                         std::size_t row_begin, std::size_t row_end,
@@ -148,13 +136,6 @@ class BuiltHashTable {
   template <typename Fn>
   void for_each_match(std::uint64_t hash, const std::uint64_t* lanes,
                       Fn&& fn) const;
-
-  JoinStats probe_range_scalar(const SubTable& right, const JoinKey& right_key,
-                               std::size_t row_begin, std::size_t row_end,
-                               SubTable& out) const;
-  JoinStats probe_range_batched(const SubTable& right, const JoinKey& right_key,
-                                std::size_t row_begin, std::size_t row_end,
-                                SubTable& out) const;
 
   std::shared_ptr<const SubTable> left_;
   JoinKey key_;

@@ -1,13 +1,13 @@
 #include "join/key.hpp"
 
 #include "common/error.hpp"
-#include "common/hash.hpp"
 
 namespace orv {
 
 JoinKey JoinKey::resolve(const Schema& schema,
                          const std::vector<std::string>& attr_names) {
   ORV_REQUIRE(!attr_names.empty(), "join needs at least one key attribute");
+  ORV_REQUIRE(attr_names.size() <= kMaxKeyArity, "join key arity too large");
   JoinKey key;
   for (const auto& name : attr_names) {
     const std::size_t idx = schema.require_index(name);
@@ -16,15 +16,6 @@ JoinKey JoinKey::resolve(const Schema& schema,
     key.types_.push_back(schema.attr(idx).type);
   }
   return key;
-}
-
-std::uint64_t JoinKey::hash_row(const std::byte* row,
-                                std::uint64_t salt) const {
-  std::uint64_t h = mix64(salt ^ 0x243f6a8885a308d3ull);
-  for (std::size_t i = 0; i < offsets_.size(); ++i) {
-    h = hash_combine(h, key_lane_from_bytes(types_[i], row + offsets_[i]));
-  }
-  return h;
 }
 
 }  // namespace orv

@@ -7,16 +7,20 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "subtable/subtable.hpp"
 
 namespace orv {
+
+/// Most key attributes one join may name; lane buffers live on the stack.
+inline constexpr std::size_t kMaxKeyArity = 8;
 
 /// Join-attribute indices resolved against one schema, with cached types
 /// and offsets for the hot path.
 class JoinKey {
  public:
   /// Resolves attribute names (e.g. {"x","y"}) against `schema`. All names
-  /// must exist; at least one is required.
+  /// must exist; at least one and at most kMaxKeyArity are required.
   static JoinKey resolve(const Schema& schema,
                          const std::vector<std::string>& attr_names);
 
@@ -32,8 +36,13 @@ class JoinKey {
   }
 
   /// Hash of a row's key with the given salt (distinct salts give the
-  /// independent functions h1, h2 and the in-memory table hash).
-  std::uint64_t hash_row(const std::byte* row, std::uint64_t salt) const;
+  /// independent functions h1, h2 and the in-memory table hash). The one
+  /// definition of row hashing: hash_lanes over the canonical lanes.
+  std::uint64_t hash_row(const std::byte* row, std::uint64_t salt) const {
+    std::uint64_t lanes[kMaxKeyArity];
+    extract_lanes(row, lanes);
+    return hash_lanes({lanes, arity()}, salt);
+  }
 
   bool lanes_equal(const std::uint64_t* a, const std::uint64_t* b) const {
     for (std::size_t i = 0; i < offsets_.size(); ++i) {

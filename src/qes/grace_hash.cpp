@@ -21,6 +21,7 @@
 // model's max-of-stages.
 
 #include <deque>
+#include <exception>
 #include <optional>
 
 #include "common/error.hpp"
@@ -289,14 +290,21 @@ sim::Task<std::shared_ptr<const SubTable>> produce_with_retry(
 
 /// Reads a node's local chunks of one table into a small bounded queue, so
 /// disk reads pipeline behind partitioning/sending (read-ahead; this is
-/// what hides the chunk reads inside the model's Transfer term).
+/// what hides the chunk reads inside the model's Transfer term). The queue
+/// is closed on every exit, so a failed read (a permanently lost storage
+/// node) wakes the consumer, which then joins this task and rethrows.
 sim::Task<> gh_reader(GhShared& sh, std::size_t node, TableId table,
                       sim::Channel<std::shared_ptr<const SubTable>>& out,
                       obs::TraceContext rpc) {
-  for (const auto& cm : sh.meta.chunks(table)) {
-    if (cm.location.storage_node != node) continue;
-    auto st = co_await produce_with_retry(sh, node, cm.id, rpc);
-    co_await out.send(std::move(st));
+  try {
+    for (const auto& cm : sh.meta.chunks(table)) {
+      if (cm.location.storage_node != node) continue;
+      auto st = co_await produce_with_retry(sh, node, cm.id, rpc);
+      co_await out.send(std::move(st));
+    }
+  } catch (...) {
+    out.close();
+    throw;
   }
   out.close();
 }
@@ -333,11 +341,20 @@ sim::Task<> gh_storage(GhShared& sh, std::size_t node, sim::Latch& done) {
     co_await reader.join();
   };
 
-  co_await stream_table(sh, node, sh.query.left_table, left_part, stage.id());
-  co_await left_part.flush_all();
-  co_await stream_table(sh, node, sh.query.right_table, right_part,
-                        stage.id());
-  co_await right_part.flush_all();
+  // A failed read still counts this sender down, so the coordinator
+  // closes the channels and the receivers finish; the query then fails
+  // with the read's error instead of leaving every process parked.
+  std::exception_ptr error;
+  try {
+    co_await stream_table(sh, node, sh.query.left_table, left_part,
+                          stage.id());
+    co_await left_part.flush_all();
+    co_await stream_table(sh, node, sh.query.right_table, right_part,
+                          stage.id());
+    co_await right_part.flush_all();
+  } catch (...) {
+    error = std::current_exception();
+  }
   if (auto* agg = net::context()) {
     // Every posted batch must be in its destination channel before the
     // coordinator learns this sender is done — otherwise it would close
@@ -345,6 +362,7 @@ sim::Task<> gh_storage(GhShared& sh, std::size_t node, sim::Latch& done) {
     co_await agg->drain(node);
   }
   done.count_down();
+  if (error) std::rethrow_exception(error);
 }
 
 /// Recovery-round sender: re-reads this storage node's local chunks of

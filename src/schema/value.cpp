@@ -8,19 +8,6 @@
 
 namespace orv {
 
-namespace {
-
-std::uint64_t float_lane(double d) {
-  // Normalize -0.0 so it joins with +0.0; propagate the value as an f64 bit
-  // pattern so f32 0.5 and f64 0.5 canonicalize identically.
-  if (d == 0.0) d = 0.0;
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
-
 AttrType Value::type() const {
   switch (v_.index()) {
     case 0: return AttrType::Int32;
@@ -98,9 +85,9 @@ std::uint64_t Value::key_lane() const {
     case 1:
       return static_cast<std::uint64_t>(std::get<std::int64_t>(v_));
     case 2:
-      return float_lane(static_cast<double>(std::get<float>(v_)));
+      return float_key_lane(static_cast<double>(std::get<float>(v_)));
     default:
-      return float_lane(std::get<double>(v_));
+      return float_key_lane(std::get<double>(v_));
   }
 }
 
@@ -116,29 +103,7 @@ std::string Value::to_string() const {
   return "?";
 }
 
-std::uint64_t key_lane_from_bytes(AttrType type, const std::byte* p) {
-  switch (type) {
-    case AttrType::Int32: {
-      std::int32_t v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
-    }
-    case AttrType::Int64: {
-      std::int64_t v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<std::uint64_t>(v);
-    }
-    case AttrType::Float32: {
-      float v;
-      std::memcpy(&v, p, sizeof(v));
-      return float_lane(static_cast<double>(v));
-    }
-    case AttrType::Float64: {
-      double v;
-      std::memcpy(&v, p, sizeof(v));
-      return float_lane(v);
-    }
-  }
+void throw_bad_key_lane_type() {
   throw InvalidArgument("bad AttrType in key_lane_from_bytes");
 }
 

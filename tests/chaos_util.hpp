@@ -117,6 +117,12 @@ struct ChaosRig {
   /// engine and deposits the tracer state here afterwards.
   TraceCapture* capture = nullptr;
 
+  /// Engine::blocked_count() of the last run, read once the engine has
+  /// drained and before it is destroyed (so before ~Engine reclaims any
+  /// parked frame). Zero means every process finished or unwound, even
+  /// when the run threw.
+  std::int64_t blocked_at_end = -1;
+
   /// When set, each run constructs (and scopes) a network message
   /// aggregator with this config over its fresh cluster, so chaos and
   /// differential sweeps can exercise the aggregated send paths.
@@ -185,6 +191,11 @@ struct ChaosRig {
         if (clock) clock->unbind();
       }
     } unbind{clock};
+    struct RecordBlocked {
+      const sim::Engine& engine;
+      std::int64_t& out;
+      ~RecordBlocked() { out = engine.blocked_count(); }
+    } record_blocked{engine, blocked_at_end};
     std::optional<obs::ScopedInstall> install;
     if (ctx) install.emplace(*ctx);
     Cluster cluster(engine, sc.cspec);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "chunkio/chunk_format.hpp"
 #include "chunkio/chunk_store.hpp"
 #include "common/error.hpp"
@@ -89,6 +91,74 @@ TEST(ChunkFormat, WrongVersionRejected) {
   w.put_u16(kChunkVersion + 1);
   w.put_u16(0);
   EXPECT_THROW(decode_chunk_header(w.bytes(), nullptr), FormatError);
+}
+
+// --- Format stability ------------------------------------------------------
+//
+// Golden bytes for a fixed sub-table in every layout. The sizes, stored CRCs
+// and FNV-1a digests were captured from the bytewise-table CRC
+// implementation; a CRC rewrite must reproduce them exactly, so chunk files
+// written before and after it stay interchangeable.
+
+std::uint64_t fnv1a64(std::span<const std::byte> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::byte b : bytes) {
+    h ^= static_cast<std::uint8_t>(b);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::uint32_t u32_at(const std::vector<std::byte>& bytes, std::size_t off) {
+  std::uint32_t v;
+  std::memcpy(&v, bytes.data() + off, sizeof(v));
+  return v;
+}
+
+SubTable golden_table() {
+  // All four attribute types, negative values, and 70 rows so BlockedRows
+  // (64-row blocks) differs from ColMajor.
+  auto schema = Schema::make({{"x", AttrType::Int32},
+                              {"y", AttrType::Int64},
+                              {"oilp", AttrType::Float32},
+                              {"wp", AttrType::Float64}});
+  SubTable st(schema, SubTableId{3, 9});
+  for (int i = 0; i < 70; ++i) {
+    const Value vals[] = {Value(std::int32_t{i % 5 - 2}),
+                          Value(std::int64_t{i} * 1000003 - 7),
+                          Value(0.25f * float(i) - 3.0f),
+                          Value(-1.5 * double(i) + 0.125)};
+    st.append_values(vals);
+  }
+  st.compute_bounds();
+  return st;
+}
+
+TEST(ChunkFormat, EncodedBytesArePinned) {
+  struct Golden {
+    LayoutId layout;
+    std::uint32_t header_crc;
+    std::uint32_t payload_crc;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {LayoutId::RowMajor, 0x9cd729d0u, 0xc9baeab7u, 0xc9b226474614b2b6ull},
+      {LayoutId::ColMajor, 0xcd89388bu, 0x07d7fc2cu, 0xcab24183a7094464ull},
+      {LayoutId::BlockedRows, 0x3e6b0b66u, 0x924779b6u,
+       0xb2715427c5c958eeull},
+  };
+  const SubTable st = golden_table();
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(static_cast<int>(g.layout));
+    const auto bytes = make_chunk(st, g.layout);
+    std::size_t payload_offset = 0;
+    decode_chunk_header(bytes, &payload_offset);
+    ASSERT_EQ(bytes.size(), 1820u);
+    ASSERT_EQ(payload_offset, 136u);
+    EXPECT_EQ(u32_at(bytes, payload_offset - 4), g.header_crc);
+    EXPECT_EQ(u32_at(bytes, bytes.size() - 4), g.payload_crc);
+    EXPECT_EQ(fnv1a64(bytes), g.digest);
+  }
 }
 
 TEST(MemoryChunkStore, AppendAndRead) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace orv {
@@ -99,6 +102,73 @@ TEST(Crc32, KnownVectors) {
 
 TEST(Crc32, EmptyInput) {
   EXPECT_EQ(crc32({}), 0x00000000u);
+}
+
+TEST(Crc32, MoreKnownVectors) {
+  // Values from zlib's crc32, the same polynomial and conditioning.
+  const std::string fox = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(crc32({reinterpret_cast<const std::byte*>(fox.data()),
+                   fox.size()}),
+            0x414fa339u);
+  EXPECT_EQ(crc32(std::vector<std::byte>(32, std::byte{0x00})), 0x190a55adu);
+  EXPECT_EQ(crc32(std::vector<std::byte>(32, std::byte{0xff})), 0xff6cab0bu);
+  std::vector<std::byte> ramp(1024);
+  for (std::size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = static_cast<std::byte>(i & 0xff);
+  }
+  EXPECT_EQ(crc32(ramp), 0xb70b4c26u);
+}
+
+/// Bit-at-a-time reference for the same CRC: no tables, one polynomial
+/// step per input bit.
+std::uint32_t reference_crc32(std::span<const std::byte> data,
+                              std::uint32_t seed = 0xffffffffu) {
+  std::uint32_t c = seed;
+  for (std::byte b : data) {
+    c ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::vector<std::byte> pseudo_random_bytes(std::size_t n) {
+  std::vector<std::byte> out(n);
+  std::uint32_t x = 0x9e3779b9u;
+  for (auto& b : out) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<std::byte>(x >> 24);
+  }
+  return out;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..67 cover no full block, one to four 16-byte blocks and
+  // every tail length; offsets 0..15 cover every load alignment.
+  const auto buf = pseudo_random_bytes(16 + 67);
+  const std::span<const std::byte> all(buf);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      const auto part = all.subspan(off, len);
+      ASSERT_EQ(crc32(part), reference_crc32(part))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, SeedChainsAcrossSplits) {
+  const auto buf = pseudo_random_bytes(67);
+  const std::span<const std::byte> all(buf);
+  const std::uint32_t whole = crc32(all);
+  for (std::size_t cut = 0; cut <= all.size(); ++cut) {
+    const std::uint32_t head = crc32(all.first(cut));
+    EXPECT_EQ(crc32(all.subspan(cut), head ^ 0xffffffffu), whole)
+        << "cut at " << cut;
+  }
+  for (std::uint32_t seed : {0u, 1u, 0x12345678u, 0xdeadbeefu}) {
+    EXPECT_EQ(crc32(all, seed), reference_crc32(all, seed)) << seed;
+  }
 }
 
 TEST(Crc32, DetectsSingleBitFlip) {

@@ -148,8 +148,17 @@ TEST_F(RecoveryTest, PermanentStorageLossIsACleanFailure) {
   fault::FaultPlan plan;
   plan.crashes.push_back(
       {fault::NodeKind::Storage, 0, 0.0, fault::kNever});
-  EXPECT_THROW(rig.run(true, &plan), fault::FaultError);
-  EXPECT_THROW(rig.run(false, &plan), fault::FaultError);
+  // The failed query must unwind: no process is left parked on a channel
+  // or event, and every span (the query's root span included) is closed
+  // before the engine is torn down.
+  ChaosRig::TraceCapture cap;
+  rig.capture = &cap;
+  for (const bool indexed_join : {true, false}) {
+    SCOPED_TRACE(indexed_join ? "IndexedJoin" : "GraceHash");
+    EXPECT_THROW(rig.run(indexed_join, &plan), fault::FaultError);
+    EXPECT_EQ(rig.blocked_at_end, 0);
+    EXPECT_EQ(cap.open_spans, 0u);
+  }
 }
 
 TEST_F(RecoveryTest, TransientIoErrorsAreRetriedToTheSameResult) {

@@ -1,6 +1,7 @@
 // Cache-conscious join kernel: RightCopyPlan layout planning, probe_range
-// boundary rows, long duplicate chains, and scalar/batched/radix A-B
-// equivalence (identical bytes, not just fingerprints).
+// boundary rows, long duplicate chains, and byte equality with
+// nested_loop_join with and without radix partitioning (identical bytes,
+// not just fingerprints).
 
 #include <gtest/gtest.h>
 
@@ -100,12 +101,31 @@ struct ProbeFixture {
     ht.probe_range(right, {"k"}, begin, end, out);
     return out;
   }
+
+  SubTable reference() const {
+    return nested_loop_join(*left, right, {"k"}, SubTableId{9, 0});
+  }
 };
+
+void expect_same_bytes(const SubTable& a, const SubTable& b) {
+  ASSERT_EQ(a.size_bytes(), b.size_bytes());
+  EXPECT_EQ(std::memcmp(a.bytes().data(), b.bytes().data(), a.size_bytes()),
+            0);
+}
+
+/// Radix-partitioned even on tiny tables, with chunks and batches smaller
+/// than the test inputs.
+JoinKernelOptions tiny_radix() {
+  JoinKernelOptions o;
+  o.l2_bytes = 1;
+  o.probe_chunk = 3;
+  o.probe_batch = 2;
+  return o;
+}
 
 TEST(ProbeRange, EmptyRange) {
   ProbeFixture fx({1, 2, 3}, {1, 2, 3});
-  for (const auto& opt :
-       {JoinKernelOptions{}, JoinKernelOptions::scalar()}) {
+  for (const auto& opt : {JoinKernelOptions{}, tiny_radix()}) {
     const BuiltHashTable ht(fx.left, {"k"}, opt);
     EXPECT_EQ(fx.probe(ht, 0, 0).num_rows(), 0u);
     EXPECT_EQ(fx.probe(ht, 2, 2).num_rows(), 0u);
@@ -134,20 +154,51 @@ TEST(ProbeRange, OutOfBoundsThrows) {
   EXPECT_THROW(ht.probe_range(fx.right, {"k"}, 2, 1, out), Error);
 }
 
+TEST(ProbeRange, ZeroAndOneRowRanges) {
+  // Probe scratch is sized by the range, not by probe_chunk: every empty
+  // and single-row range must still produce that row's matches, in order,
+  // with the same stats as one full probe.
+  Xoshiro256StarStar rng(5);
+  std::vector<int> lkeys, rkeys;
+  for (int i = 0; i < 60; ++i) {
+    lkeys.push_back(static_cast<int>(rng.below(20)));
+    rkeys.push_back(static_cast<int>(rng.below(25)));
+  }
+  ProbeFixture fx(lkeys, rkeys);
+  const SubTable expected = fx.reference();
+  for (const auto& opt : {JoinKernelOptions{}, tiny_radix()}) {
+    const BuiltHashTable ht(fx.left, {"k"}, opt);
+    SubTable pieced(fx.result_schema, SubTableId{9, 0});
+    JoinStats total;
+    for (std::size_t r = 0; r <= fx.right.num_rows(); ++r) {
+      const JoinStats empty = ht.probe_range(fx.right, {"k"}, r, r, pieced);
+      EXPECT_EQ(empty.probe_tuples, 0u);
+      EXPECT_EQ(empty.result_tuples, 0u);
+      if (r == fx.right.num_rows()) break;
+      const JoinStats one = ht.probe_range(fx.right, {"k"}, r, r + 1, pieced);
+      EXPECT_EQ(one.probe_tuples, 1u);
+      total += one;
+    }
+    SubTable whole(fx.result_schema, SubTableId{9, 1});
+    const JoinStats full = ht.probe(fx.right, {"k"}, whole);
+    EXPECT_EQ(total.probe_tuples, full.probe_tuples);
+    EXPECT_EQ(total.result_tuples, full.result_tuples);
+    EXPECT_EQ(full.result_tuples, expected.num_rows());
+    expect_same_bytes(pieced, expected);
+    expect_same_bytes(whole, expected);
+  }
+}
+
 TEST(ProbeRange, DuplicateChainLongerThanBatch) {
   // 40 left rows with the same key chain through >16 slots: one probe row
-  // must emit all of them, in ascending left-row order, on every kernel.
+  // must emit all of them, in ascending left-row order.
   std::vector<int> lkeys(40, 7);
   lkeys.push_back(8);
   ProbeFixture fx(lkeys, {7, 9, 7});
   const BuiltHashTable tuned(fx.left, {"k"});
-  const BuiltHashTable scalar(fx.left, {"k"}, JoinKernelOptions::scalar());
   const SubTable a = fx.probe(tuned, 0, fx.right.num_rows());
-  const SubTable b = fx.probe(scalar, 0, fx.right.num_rows());
   EXPECT_EQ(a.num_rows(), 80u);
-  ASSERT_EQ(a.size_bytes(), b.size_bytes());
-  EXPECT_EQ(std::memcmp(a.bytes().data(), b.bytes().data(), a.size_bytes()),
-            0);
+  expect_same_bytes(a, fx.reference());
   // Ascending left-row order within one probe row: attribute "a" carries
   // the left serial number.
   for (std::size_t r = 1; r < 40; ++r) {
@@ -155,9 +206,9 @@ TEST(ProbeRange, DuplicateChainLongerThanBatch) {
   }
 }
 
-// --- kernel A/B equivalence ------------------------------------------------
+// --- equivalence with the nested-loop reference ----------------------------
 
-TEST(JoinKernel, ScalarBatchedRadixProduceIdenticalBytes) {
+TEST(JoinKernel, BatchedAndRadixMatchNestedLoopBytes) {
   Xoshiro256StarStar rng(123);
   std::vector<int> lkeys, rkeys;
   for (int i = 0; i < 5000; ++i) {
@@ -173,27 +224,21 @@ TEST(JoinKernel, ScalarBatchedRadixProduceIdenticalBytes) {
   JoinKernelOptions batched;
   batched.radix_build = false;
 
-  const BuiltHashTable ht_scalar(fx.left, {"k"}, JoinKernelOptions::scalar());
   const BuiltHashTable ht_batched(fx.left, {"k"}, batched);
   const BuiltHashTable ht_radix(fx.left, {"k"}, radix);
-  EXPECT_EQ(ht_scalar.num_partitions(), 1u);
   EXPECT_EQ(ht_batched.num_partitions(), 1u);
   EXPECT_GT(ht_radix.num_partitions(), 1u);
 
-  const SubTable a = fx.probe(ht_scalar, 0, fx.right.num_rows());
+  const SubTable a = fx.reference();
   const SubTable b = fx.probe(ht_batched, 0, fx.right.num_rows());
   const SubTable c = fx.probe(ht_radix, 0, fx.right.num_rows());
   EXPECT_GT(a.num_rows(), 0u);
-  ASSERT_EQ(a.size_bytes(), b.size_bytes());
-  ASSERT_EQ(a.size_bytes(), c.size_bytes());
-  EXPECT_EQ(std::memcmp(a.bytes().data(), b.bytes().data(), a.size_bytes()),
-            0);
-  EXPECT_EQ(std::memcmp(a.bytes().data(), c.bytes().data(), a.size_bytes()),
-            0);
+  expect_same_bytes(a, b);
+  expect_same_bytes(a, c);
   EXPECT_EQ(a.unordered_fingerprint(), c.unordered_fingerprint());
 }
 
-TEST(JoinKernel, CompositeKeyAcrossKernels) {
+TEST(JoinKernel, CompositeKeyMatchesNestedLoop) {
   auto sl = Schema::make({{"x", AttrType::Float32},
                           {"y", AttrType::Int64},
                           {"p", AttrType::Float64}});
@@ -218,17 +263,13 @@ TEST(JoinKernel, CompositeKeyAcrossKernels) {
 
   JoinKernelOptions radix;
   radix.l2_bytes = 2 << 10;
-  const BuiltHashTable ht_scalar(left, {"x", "y"}, JoinKernelOptions::scalar());
   const BuiltHashTable ht_radix(left, {"x", "y"}, radix);
-  SubTable a(rs, SubTableId{9, 0});
+  const SubTable a = nested_loop_join(*left, right, {"x", "y"}, {9, 0});
   SubTable b(rs, SubTableId{9, 1});
-  const JoinStats sa = ht_scalar.probe(right, {"x", "y"}, a);
   const JoinStats sb = ht_radix.probe(right, {"x", "y"}, b);
-  EXPECT_EQ(sa.result_tuples, sb.result_tuples);
+  EXPECT_EQ(a.num_rows(), sb.result_tuples);
   EXPECT_GT(a.num_rows(), 0u);
-  ASSERT_EQ(a.size_bytes(), b.size_bytes());
-  EXPECT_EQ(std::memcmp(a.bytes().data(), b.bytes().data(), a.size_bytes()),
-            0);
+  expect_same_bytes(a, b);
 }
 
 TEST(JoinKernel, MatchesTestHookAgreesAcrossLayouts) {
