@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -25,11 +26,23 @@ std::uint64_t table_capacity_for(std::size_t rows) {
 }
 
 /// One probe hit: probe-row position within the current chunk plus the
-/// matching left row. Kept small so the match buffer stays cache-resident.
+/// matching left row. Kept small so the match buffer stays cache-resident;
+/// the buffer holds it bit-cast to one 64-bit word.
 struct Match {
   std::uint32_t pos;
   std::uint32_t lrow;
 };
+static_assert(sizeof(Match) == sizeof(std::uint64_t));
+
+/// The key-range filter's order map: a fixed bijection of the 64-bit lane
+/// under which min/max are taken. Sign bit set: flip every bit; else set the
+/// sign bit. Float lanes then order as their values (NaNs at the ends) and
+/// non-negative integers stay contiguous; any fixed total order is correct,
+/// since a lane equal to a build lane always lies within the build range.
+inline std::uint64_t lane_order(std::uint64_t lane) {
+  const std::uint64_t flip = (0 - (lane >> 63)) | (std::uint64_t{1} << 63);
+  return lane ^ flip;
+}
 
 }  // namespace
 
@@ -45,10 +58,22 @@ BuiltHashTable::BuiltHashTable(std::shared_ptr<const SubTable> left,
   const std::byte* rows = left_->bytes().data();
 
   // Hash every left row once; the same hashes drive partition choice and
-  // slot insertion.
+  // slot insertion. The same pass takes each lane's key range, with
+  // branches rather than min/max so a row inside the bounds seen so far
+  // stores nothing.
+  const std::size_t arity = key_.arity();
+  std::fill_n(lane_min_, kMaxKeyArity, ~std::uint64_t{0});
+  std::fill_n(lane_max_, kMaxKeyArity, std::uint64_t{0});
   std::vector<std::uint64_t> hashes(n);
+  std::uint64_t lanes[kMaxKeyArity];
   for (std::size_t r = 0; r < n; ++r) {
-    hashes[r] = key_.hash_row(rows + r * rs, kSaltInMemory);
+    key_.extract_lanes(rows + r * rs, lanes);
+    for (std::size_t i = 0; i < arity; ++i) {
+      const std::uint64_t o = lane_order(lanes[i]);
+      if (o < lane_min_[i]) lane_min_[i] = o;
+      if (o > lane_max_[i]) lane_max_[i] = o;
+    }
+    hashes[r] = hash_lanes({lanes, arity}, kSaltInMemory);
   }
 
   // Partition count: one partition while the table structure fits L2;
@@ -92,8 +117,10 @@ BuiltHashTable::BuiltHashTable(std::shared_ptr<const SubTable> left,
 
 void BuiltHashTable::insert(const Partition& part, std::uint64_t hash,
                             std::uint32_t row) {
+  // Walk the dense tag array, not the 16-byte slots: a nonzero tag marks
+  // an occupied slot.
   std::uint64_t i = hash & part.mask;
-  while (slots_[part.offset + i].row != kEmpty) i = (i + 1) & part.mask;
+  while (tags_[part.offset + i] != kEmptyTag) i = (i + 1) & part.mask;
   slots_[part.offset + i].hash = hash;
   slots_[part.offset + i].row = row;
   tags_[part.offset + i] = tag_of(hash);
@@ -156,19 +183,21 @@ JoinStats BuiltHashTable::probe(const SubTable& right,
   return probe_range(right, right_key_attrs, 0, right.num_rows(), out);
 }
 
-/// The kernel: per chunk, (1) canonicalize and hash all probe rows, (2) in
-/// radix mode regroup the chunk by partition so one partition's structure
-/// stays hot, (3) probe with a rolling software prefetch `probe_batch` rows
-/// ahead, tag byte checked before any Slot load, (4) restore probe-row
-/// order, (5) write joined records directly into the output buffer. Output
-/// row order is that of nested_loop_join: probe-row order, per-row matches
-/// in ascending left-row order (linear probing visits equal-key slots in
-/// insertion order).
+/// The kernel: per chunk, (1) canonicalize every probe row's key lanes and
+/// keep only rows inside the build's per-lane key range, then hash the
+/// survivors, (2) in radix mode regroup the survivors by partition so one
+/// partition's structure stays hot, (3) probe with a rolling software
+/// prefetch `probe_batch` rows ahead, tag byte checked before any Slot load,
+/// (4) restore probe-row order, (5) write joined records directly into the
+/// output buffer. Output row order is that of nested_loop_join: probe-row
+/// order, per-row matches in ascending left-row order (linear probing visits
+/// equal-key slots in insertion order).
 JoinStats BuiltHashTable::probe_range(
     const SubTable& right, const std::vector<std::string>& right_key_attrs,
     std::size_t row_begin, std::size_t row_end, SubTable& out) const {
   const JoinKey right_key = JoinKey::resolve(right.schema(), right_key_attrs);
-  ORV_REQUIRE(right_key.compatible_with(key_), "join key arity mismatch");
+  ORV_REQUIRE(right_key.compatible_with(key_),
+              "join keys differ in arity or integer/float lane family");
   ORV_REQUIRE(row_begin <= row_end && row_end <= right.num_rows(),
               "probe row range out of bounds");
   const RightCopyPlan plan =
@@ -176,8 +205,11 @@ JoinStats BuiltHashTable::probe_range(
   ORV_REQUIRE(out.record_size() == plan.result_record_size,
               "output schema does not match the join result layout");
 
+  // Every row of the range counts as probed, filtered or not: the
+  // simulation charges gamma_lookup per probe tuple.
   JoinStats stats;
   stats.probe_tuples = row_end - row_begin;
+  if (row_begin == row_end) return stats;
 
   const std::size_t lrs = left_->record_size();
   const std::size_t rrs = right.record_size();
@@ -189,43 +221,78 @@ JoinStats BuiltHashTable::probe_range(
       std::clamp<std::size_t>(options_.probe_batch, 1, 64);
   const bool radix = parts_.size() > 1;
 
-  // Per-chunk scratch, sized for the rows this call can actually probe.
+  // Per-call scratch in one allocation, sized for the rows this call can
+  // actually probe: key lanes by chunk position, the survivors' hashes and
+  // chunk positions, then the candidate matches. Only the match region, last
+  // in the block, can outgrow it (a chunk with more candidates than rows);
+  // growing doubles it and copies the block.
   const std::size_t scratch_rows = std::min(chunk_rows, row_end - row_begin);
-  std::vector<std::uint64_t> hashes(scratch_rows);
-  std::vector<std::uint64_t> lanes_buf(scratch_rows * arity);
-  std::vector<std::uint32_t> order;       // partition-grouped probe order
+  const std::size_t fixed_words = scratch_rows * (arity + 2);
+  std::unique_ptr<std::uint64_t[]> scratch;
+  std::size_t match_cap = 0;
+  std::uint64_t* lanes_buf = nullptr;
+  std::uint64_t* hashes = nullptr;
+  std::uint64_t* surv = nullptr;
+  std::uint64_t* matches = nullptr;
+  auto reserve_matches = [&](std::size_t cap) {
+    auto block =
+        std::make_unique_for_overwrite<std::uint64_t[]>(fixed_words + cap);
+    if (scratch) {
+      std::copy_n(scratch.get(), fixed_words + match_cap, block.get());
+    }
+    scratch = std::move(block);
+    match_cap = cap;
+    lanes_buf = scratch.get();
+    hashes = lanes_buf + scratch_rows * arity;
+    surv = hashes + scratch_rows;
+    matches = surv + scratch_rows;
+  };
+  reserve_matches(scratch_rows);
+
+  std::vector<std::uint32_t> order;       // partition-grouped survivor order
   std::vector<std::uint32_t> bucket_pos;  // per-partition cursors
-  std::vector<Match> matches;
-  std::vector<Match> sorted;
+  std::vector<std::uint64_t> sorted;      // matches in restored order
   std::vector<std::uint32_t> emit_pos;  // per-probe-row cursors for restore
-  matches.reserve(scratch_rows);
 
   for (std::size_t cb = row_begin; cb < row_end; cb += chunk_rows) {
     const std::size_t cn = std::min(chunk_rows, row_end - cb);
 
-    // (1) Canonicalize the key lanes once per probe row; hash from lanes
-    // (hash_lanes == JoinKey::hash_row on the canonical lanes).
+    // (1) Canonicalize the key lanes once per probe row and test them
+    // against the build's key range; compact the surviving chunk positions
+    // without branching, then hash only those (hash_lanes ==
+    // JoinKey::hash_row on the canonical lanes).
+    std::size_t ns = 0;
     for (std::size_t j = 0; j < cn; ++j) {
-      std::uint64_t* l = lanes_buf.data() + j * arity;
+      std::uint64_t* l = lanes_buf + j * arity;
       right_key.extract_lanes(rrows + (cb + j) * rrs, l);
-      hashes[j] = hash_lanes({l, arity}, kSaltInMemory);
+      bool in = true;
+      for (std::size_t i = 0; i < arity; ++i) {
+        const std::uint64_t o = lane_order(l[i]);
+        in &= (o >= lane_min_[i]) & (o <= lane_max_[i]);
+      }
+      surv[ns] = j;
+      ns += in;
+    }
+    for (std::size_t k = 0; k < ns; ++k) {
+      hashes[k] = hash_lanes({lanes_buf + surv[k] * arity, arity},
+                             kSaltInMemory);
     }
 
-    // (2) Counting-sort chunk positions by partition so probes of one
-    // partition cluster in time and its tags/slots stay L2-resident.
+    // (2) Counting-sort survivors by partition so probes of one partition
+    // cluster in time and its tags/slots stay L2-resident.
     const std::uint32_t* ord = nullptr;
     if (radix) {
       bucket_pos.assign(parts_.size() + 1, 0);
-      for (std::size_t j = 0; j < cn; ++j) {
-        ++bucket_pos[partition_of(hashes[j]) + 1];
+      for (std::size_t k = 0; k < ns; ++k) {
+        ++bucket_pos[partition_of(hashes[k]) + 1];
       }
       for (std::size_t p = 1; p <= parts_.size(); ++p) {
         bucket_pos[p] += bucket_pos[p - 1];
       }
-      order.resize(cn);
-      for (std::size_t j = 0; j < cn; ++j) {
-        order[bucket_pos[partition_of(hashes[j])]++] =
-            static_cast<std::uint32_t>(j);
+      order.resize(ns);
+      for (std::size_t k = 0; k < ns; ++k) {
+        order[bucket_pos[partition_of(hashes[k])]++] =
+            static_cast<std::uint32_t>(k);
       }
       ord = order.data();
     }
@@ -236,17 +303,18 @@ JoinStats BuiltHashTable::probe_range(
     // dependent left-payload load never stalls the probe loop. Equal full
     // hashes are almost always true matches, so candidate order is match
     // order.
-    matches.clear();
-    for (std::size_t j = 0; j < cn; ++j) {
-      if (j + batch < cn) {
-        const std::size_t nj = ord ? ord[j + batch] : j + batch;
-        const Partition& np = parts_[partition_of(hashes[nj])];
-        const std::uint64_t nidx = np.offset + (hashes[nj] & np.mask);
+    std::size_t n_cand = 0;
+    for (std::size_t k = 0; k < ns; ++k) {
+      if (k + batch < ns) {
+        const std::uint64_t nh = hashes[ord ? ord[k + batch] : k + batch];
+        const Partition& np = parts_[partition_of(nh)];
+        const std::uint64_t nidx = np.offset + (nh & np.mask);
         ORV_PREFETCH(&tags_[nidx]);
         ORV_PREFETCH(&slots_[nidx]);
       }
-      const std::size_t pj = ord ? ord[j] : j;
-      const std::uint64_t h = hashes[pj];
+      const std::size_t sk = ord ? ord[k] : k;
+      const std::uint64_t h = hashes[sk];
+      const auto pj = static_cast<std::uint32_t>(surv[sk]);
       const std::uint8_t want = tag_of(h);
       const Partition& part = parts_[partition_of(h)];
       std::uint64_t i = h & part.mask;
@@ -257,53 +325,56 @@ JoinStats BuiltHashTable::probe_range(
           const Slot& s = slots_[part.offset + i];
           if (s.hash == h) {
             ORV_PREFETCH(lrows + s.row * lrs);
-            matches.push_back({static_cast<std::uint32_t>(pj), s.row});
+            if (n_cand == match_cap) reserve_matches(2 * match_cap);
+            matches[n_cand++] = std::bit_cast<std::uint64_t>(Match{pj, s.row});
           }
         }
         i = (i + 1) & part.mask;
       }
     }
+    if (n_cand == 0) continue;
 
     // (4) Partition grouping permuted probe order; restore it with a
     // stable counting sort on the chunk position (all matches of one probe
     // row are already consecutive and in chain order).
-    const Match* emit = matches.data();
-    if (radix && !matches.empty()) {
+    const std::uint64_t* emit = matches;
+    if (radix) {
       emit_pos.assign(cn + 1, 0);
-      for (const Match& m : matches) ++emit_pos[m.pos + 1];
+      for (std::size_t m = 0; m < n_cand; ++m) {
+        ++emit_pos[std::bit_cast<Match>(matches[m]).pos + 1];
+      }
       for (std::size_t j = 1; j <= cn; ++j) emit_pos[j] += emit_pos[j - 1];
-      sorted.resize(matches.size());
-      for (const Match& m : matches) sorted[emit_pos[m.pos]++] = m;
+      sorted.resize(n_cand);
+      for (std::size_t m = 0; m < n_cand; ++m) {
+        sorted[emit_pos[std::bit_cast<Match>(matches[m]).pos]++] = matches[m];
+      }
       emit = sorted.data();
     }
 
     // (5) Verify candidates (drop full-hash collisions) and zero-copy
     // emit: left prefix then the right copy-plan pieces, written straight
     // into the reserved output rows.
-    const std::size_t n_cand = matches.size();
-    if (n_cand != 0) {
-      std::uint64_t left_lanes[kMaxKeyArity];
-      std::byte* dst = out.append_rows_reserve(n_cand);
-      std::size_t emitted = 0;
-      for (std::size_t m = 0; m < n_cand; ++m) {
-        const std::byte* lrow = lrows + emit[m].lrow * lrs;
-        key_.extract_lanes(lrow, left_lanes);
-        if (!key_.lanes_equal(left_lanes,
-                              lanes_buf.data() + emit[m].pos * arity)) {
-          continue;
-        }
-        const std::byte* rrow = rrows + (cb + emit[m].pos) * rrs;
-        std::memcpy(dst, lrow, lrs);
-        for (const auto& piece : plan.pieces) {
-          std::memcpy(dst + piece.dst_offset, rrow + piece.src_offset,
-                      piece.size);
-        }
-        dst += plan.result_record_size;
-        ++emitted;
+    std::uint64_t left_lanes[kMaxKeyArity];
+    std::byte* dst = out.append_rows_reserve(n_cand);
+    std::size_t emitted = 0;
+    for (std::size_t m = 0; m < n_cand; ++m) {
+      const Match match = std::bit_cast<Match>(emit[m]);
+      const std::byte* lrow = lrows + match.lrow * lrs;
+      key_.extract_lanes(lrow, left_lanes);
+      if (!key_.lanes_equal(left_lanes, lanes_buf + match.pos * arity)) {
+        continue;
       }
-      out.append_rows_commit(emitted);
-      stats.result_tuples += emitted;
+      const std::byte* rrow = rrows + (cb + match.pos) * rrs;
+      std::memcpy(dst, lrow, lrs);
+      for (const auto& piece : plan.pieces) {
+        std::memcpy(dst + piece.dst_offset, rrow + piece.src_offset,
+                    piece.size);
+      }
+      dst += plan.result_record_size;
+      ++emitted;
     }
+    out.append_rows_commit(emitted);
+    stats.result_tuples += emitted;
   }
   out.append_rows_trim();
   return stats;
@@ -342,6 +413,8 @@ SubTable nested_loop_join(const SubTable& left, const SubTable& right,
                           SubTableId result_id) {
   const JoinKey lkey = JoinKey::resolve(left.schema(), key_attrs);
   const JoinKey rkey = JoinKey::resolve(right.schema(), key_attrs);
+  ORV_REQUIRE(rkey.compatible_with(lkey),
+              "join keys differ in arity or integer/float lane family");
   auto result_schema = std::make_shared<const Schema>(Schema::join_result(
       left.schema(), right.schema(), rkey.attr_indices()));
   const RightCopyPlan plan =

@@ -19,7 +19,9 @@
 //    bits, and each probe chunk is regrouped by partition so one partition's
 //    tags/slots stay resident while it is probed;
 //  - matched rows are written straight into the output sub-table through
-//    SubTable::append_rows_reserve (no staging row buffer, single copy).
+//    SubTable::append_rows_reserve (no staging row buffer, single copy);
+//  - the table keeps each key lane's [min, max] over the build rows, and a
+//    probe drops rows outside it before hashing or touching tags/slots.
 
 #include <cstdint>
 #include <memory>
@@ -96,7 +98,9 @@ class BuiltHashTable {
   /// table is immutable during probing, so concurrent calls are safe).
   /// Output row order is probe-row order with per-row matches in ascending
   /// left-row order (that of nested_loop_join), with or without radix
-  /// partitioning.
+  /// partitioning. The returned probe_tuples is row_end - row_begin, rows
+  /// dropped by the key-range filter included. Throws InvalidArgument when
+  /// the keys are not compatible (JoinKey::compatible_with).
   JoinStats probe_range(const SubTable& right,
                         const std::vector<std::string>& right_key_attrs,
                         std::size_t row_begin, std::size_t row_end,
@@ -143,6 +147,11 @@ class BuiltHashTable {
   std::vector<Slot> slots_;
   std::vector<std::uint8_t> tags_;
   std::vector<Partition> parts_;
+  /// Per-lane [min, max] of the build keys under the filter's order map
+  /// (hash_join.cpp); an empty table keeps min > max, so it drops every
+  /// probe row.
+  std::uint64_t lane_min_[kMaxKeyArity];
+  std::uint64_t lane_max_[kMaxKeyArity];
 };
 
 /// One-shot convenience: build on `left`, probe with `right`, produce the
@@ -151,7 +160,8 @@ SubTable hash_join(const SubTable& left, const SubTable& right,
                    const std::vector<std::string>& key_attrs,
                    SubTableId result_id, JoinStats* stats = nullptr);
 
-/// Reference nested-loop join for correctness checks (O(n*m)).
+/// Reference nested-loop join for correctness checks (O(n*m)). Throws
+/// InvalidArgument when the keys are not compatible, like probe_range.
 SubTable nested_loop_join(const SubTable& left, const SubTable& right,
                           const std::vector<std::string>& key_attrs,
                           SubTableId result_id);

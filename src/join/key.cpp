@@ -9,6 +9,9 @@ JoinKey JoinKey::resolve(const Schema& schema,
   ORV_REQUIRE(!attr_names.empty(), "join needs at least one key attribute");
   ORV_REQUIRE(attr_names.size() <= kMaxKeyArity, "join key arity too large");
   JoinKey key;
+  key.indices_.reserve(attr_names.size());
+  key.offsets_.reserve(attr_names.size());
+  key.types_.reserve(attr_names.size());
   for (const auto& name : attr_names) {
     const std::size_t idx = schema.require_index(name);
     key.indices_.push_back(idx);

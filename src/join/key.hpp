@@ -51,16 +51,28 @@ class JoinKey {
     return true;
   }
 
-  /// Two keys over different schemas are compatible when the attribute
-  /// canonicalization matches pairwise (so f32 x joins f64 x).
+  /// Two keys over different schemas are compatible when they have the same
+  /// arity and each position canonicalizes into the same lane family:
+  /// integer (i32/i64 sign-extended) or float (f32/f64 as f64 bits). So f32
+  /// x joins f64 x, but an integer never joins a float whose bits it shares.
   bool compatible_with(const JoinKey& other) const {
-    return arity() == other.arity();
+    if (arity() != other.arity()) return false;
+    for (std::size_t i = 0; i < types_.size(); ++i) {
+      if (is_float_lane(types_[i]) != is_float_lane(other.types_[i])) {
+        return false;
+      }
+    }
+    return true;
   }
 
  private:
   std::vector<std::size_t> indices_;
   std::vector<std::size_t> offsets_;
   std::vector<AttrType> types_;
+
+  static bool is_float_lane(AttrType t) {
+    return t == AttrType::Float32 || t == AttrType::Float64;
+  }
 };
 
 /// Well-known salts for the three hashing contexts.

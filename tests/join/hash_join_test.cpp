@@ -148,6 +148,48 @@ TEST(HashJoin, MixedWidthKeyTypesJoin) {
   EXPECT_EQ(out.num_rows(), 16u);
 }
 
+TEST(HashJoin, IntegerKeyNeverJoinsFloatKeyWithTheSameBits) {
+  // 4607182418800017408 is the bit pattern of 1.0: the two lanes are equal,
+  // but an integer and a float key are not comparable, so every join entry
+  // point rejects the pair instead of returning a bit-pattern match.
+  auto sl = Schema::make({{"k", AttrType::Int64}, {"a", AttrType::Int32}});
+  auto sr = Schema::make({{"k", AttrType::Float64}, {"b", AttrType::Int32}});
+  SubTable left(sl, {1, 0});
+  const Value lv[] = {Value(std::int64_t{4607182418800017408}), Value(1)};
+  left.append_values(lv);
+  SubTable right(sr, {2, 0});
+  const Value rv[] = {Value(1.0), Value(2)};
+  right.append_values(rv);
+  EXPECT_THROW(hash_join(left, right, {"k"}, {9, 0}), InvalidArgument);
+  EXPECT_THROW(nested_loop_join(left, right, {"k"}, {9, 0}), InvalidArgument);
+  EXPECT_THROW(hash_join(right, left, {"k"}, {9, 0}), InvalidArgument);
+
+  auto lp = std::shared_ptr<const SubTable>(&left, [](auto*) {});
+  const BuiltHashTable ht(lp, {"k"});
+  auto rs = std::make_shared<const Schema>(Schema::join_result(
+      *sl, *sr, JoinKey::resolve(*sr, {"k"}).attr_indices()));
+  SubTable out(rs, {9, 0});
+  EXPECT_THROW(ht.probe_range(right, {"k"}, 0, 1, out), InvalidArgument);
+  EXPECT_THROW(ht.probe_range(right, {"k"}, 0, 0, out), InvalidArgument);
+}
+
+TEST(JoinKey, CompatibilityIsArityAndLaneFamilyPerPosition) {
+  auto s = Schema::make({{"i32", AttrType::Int32},
+                         {"i64", AttrType::Int64},
+                         {"f32", AttrType::Float32},
+                         {"f64", AttrType::Float64}});
+  auto key = [&](std::vector<std::string> names) {
+    return JoinKey::resolve(*s, names);
+  };
+  EXPECT_TRUE(key({"i32"}).compatible_with(key({"i64"})));
+  EXPECT_TRUE(key({"f32"}).compatible_with(key({"f64"})));
+  EXPECT_TRUE(key({"i32", "f32"}).compatible_with(key({"i64", "f64"})));
+  EXPECT_FALSE(key({"i32"}).compatible_with(key({"f32"})));
+  EXPECT_FALSE(key({"f64"}).compatible_with(key({"i64"})));
+  EXPECT_FALSE(key({"i32", "f32"}).compatible_with(key({"i64", "i64"})));
+  EXPECT_FALSE(key({"i32"}).compatible_with(key({"i32", "i32"})));
+}
+
 TEST(BuiltHashTable, ReusableAcrossProbes) {
   auto left = std::make_shared<SubTable>(
       make_table(schema_ab(), {1, 0}, {{1, 1.f}, {2, 2.f}, {3, 3.f}}));
