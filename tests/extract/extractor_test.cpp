@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <ostream>
+
 #include "common/error.hpp"
 #include "common/prng.hpp"
 
@@ -54,6 +58,19 @@ struct RoundTripCase {
   std::size_t rows;
   std::size_t attrs;
 };
+
+// gtest names each case after the raw bytes of its parameter. Print those
+// bytes with the struct padding zeroed, so the names do not pick up
+// uninitialised stack contents and stay the same from run to run.
+void PrintTo(const RoundTripCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(RoundTripCase)] = {};
+  std::memcpy(bytes + offsetof(RoundTripCase, layout), &c.layout,
+              sizeof c.layout);
+  std::memcpy(bytes + offsetof(RoundTripCase, rows), &c.rows, sizeof c.rows);
+  std::memcpy(bytes + offsetof(RoundTripCase, attrs), &c.attrs,
+              sizeof c.attrs);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 class ExtractorRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
