@@ -1,8 +1,9 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <utility>
 
-#include "common/error.hpp"
+#include "common/log.hpp"
 
 namespace orv {
 
@@ -22,60 +23,89 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  start_cv_.notify_all();
+  work_cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
+ThreadPool& ThreadPool::shared() {
+  static ThreadPool pool;
+  return pool;
+}
+
 void ThreadPool::worker_loop() {
-  std::uint64_t seen_generation = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      start_cv_.wait(lock, [&] {
-        return stop_ || generation_ != seen_generation;
-      });
-      if (stop_) return;
-      seen_generation = generation_;
-      ++workers_active_;
-    }
-    run_indices();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --workers_active_;
-      if (workers_active_ == 0 && completed_ == next_index_) {
-        done_cv_.notify_all();
-      }
-    }
+    work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and nothing left to run
+    Job job = std::move(queue_.front());
+    queue_.pop_front();
+    run(std::move(job), lock);
   }
 }
 
-void ThreadPool::run_indices() {
-  while (true) {
-    std::size_t begin, end;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      // A worker can wake for a job that already ended (by an exception
-      // that stopped dispatch part-way); job_fn_ is null once it has.
-      if (job_fn_ == nullptr || next_index_ >= job_size_ || first_exception_) {
-        return;
-      }
-      begin = next_index_;
-      end = std::min(job_size_, begin + grain_);
-      next_index_ = end;
-    }
-    // A mid-chunk exception abandons the chunk's remaining indices, but
-    // they were dispatched, so they still count toward completed_ — the
-    // done condition stays completed_ == next_index_.
-    try {
-      for (std::size_t i = begin; i < end; ++i) (*job_fn_)(i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_exception_) first_exception_ = std::current_exception();
-      completed_ += end - begin;
+void ThreadPool::run(Job job, std::unique_lock<std::mutex>& lock) {
+  lock.unlock();
+  std::exception_ptr error;
+  try {
+    job.fn();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  job.fn = nullptr;  // release what the job captured before it counts done
+  lock.lock();
+  TaskGroup& group = *job.group;
+  if (error && !group.error_) group.error_ = error;
+  // The group may be destroyed as soon as pending_ reads 0: touch it no
+  // more after this.
+  group.pending_.fetch_sub(1, std::memory_order_release);
+  done_cv_.notify_all();
+}
+
+ThreadPool::TaskGroup::~TaskGroup() {
+  try {
+    wait();
+  } catch (const std::exception& e) {
+    ORV_LOG(Error) << "thread pool: job exception nobody waited for: "
+                   << e.what();
+  } catch (...) {
+    ORV_LOG(Error) << "thread pool: job exception nobody waited for";
+  }
+}
+
+void ThreadPool::TaskGroup::submit(std::function<void()> job) {
+  std::unique_lock<std::mutex> lock(pool_.mutex_);
+  pending_.fetch_add(1, std::memory_order_relaxed);
+  if (pool_.queue_.size() >= kQueuedPerWorker * pool_.workers_.size()) {
+    pool_.run(Job{std::move(job), this}, lock);
+    return;
+  }
+  pool_.queue_.push_back(Job{std::move(job), this});
+  lock.unlock();
+  pool_.work_cv_.notify_one();
+}
+
+void ThreadPool::TaskGroup::wait() {
+  if (done() && !error_) return;  // touches no pool state
+  std::unique_lock<std::mutex> lock(pool_.mutex_);
+  auto finished = [this] {
+    return pending_.load(std::memory_order_relaxed) == 0;
+  };
+  while (!finished()) {
+    if (pool_.queue_.empty()) {
+      // Woken by every job's completion; a job queued meanwhile is picked
+      // up on the next one.
+      pool_.done_cv_.wait(
+          lock, [&] { return finished() || !pool_.queue_.empty(); });
       continue;
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    completed_ += end - begin;
+    Job job = std::move(pool_.queue_.front());
+    pool_.queue_.pop_front();
+    pool_.run(std::move(job), lock);
+  }
+  if (error_) {
+    std::exception_ptr error = std::exchange(error_, nullptr);
+    lock.unlock();
+    std::rethrow_exception(error);
   }
 }
 
@@ -83,36 +113,43 @@ void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn,
                               std::size_t grain) {
   if (n == 0) return;
+  if (grain == 0) grain = std::max<std::size_t>(1, n / (8 * num_threads()));
+  // Every runner claims chunks until none are left; the first exception
+  // stops further claims.
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  auto claim_chunks = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t begin = next.fetch_add(grain);
+      if (begin >= n) return;
+      const std::size_t end = std::min(n, begin + grain);
+      try {
+        for (std::size_t i = begin; i < end; ++i) fn(i);
+      } catch (...) {
+        failed = true;
+        throw;
+      }
+    }
+  };
+  const std::size_t chunks = (n - 1) / grain + 1;
+  std::exception_ptr error;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ORV_CHECK(job_fn_ == nullptr, "parallel_for is not reentrant");
-    job_size_ = n;
-    grain_ = grain != 0 ? grain
-                        : std::max<std::size_t>(1, n / (8 * num_threads()));
-    job_fn_ = &fn;
-    next_index_ = 0;
-    completed_ = 0;
-    first_exception_ = nullptr;
-    ++generation_;
-  }
-  start_cv_.notify_all();
-  run_indices();  // the caller participates
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    // Done when no index is in flight and no more will be dispatched
-    // (all consumed, or dispatch stopped by an exception).
-    done_cv_.wait(lock, [&] {
-      return workers_active_ == 0 && completed_ == next_index_ &&
-             (next_index_ >= job_size_ || first_exception_);
-    });
-    job_fn_ = nullptr;
-    if (first_exception_) {
-      auto ex = first_exception_;
-      first_exception_ = nullptr;
-      lock.unlock();
-      std::rethrow_exception(ex);
+    TaskGroup group(*this);
+    for (std::size_t k = 1; k < std::min(chunks, num_threads()); ++k) {
+      group.submit(claim_chunks);
+    }
+    try {
+      claim_chunks();  // the caller participates
+    } catch (...) {
+      error = std::current_exception();
+    }
+    try {
+      group.wait();
+    } catch (...) {
+      if (!error) error = std::current_exception();
     }
   }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace orv

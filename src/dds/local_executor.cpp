@@ -95,10 +95,10 @@ SubTable LocalExecutor::execute_join(const ViewDef& view) const {
   // per-range outputs in range order (identical row order to sequential).
   auto left_alias = std::shared_ptr<const SubTable>(&left, [](auto*) {});
   const BuiltHashTable ht(left_alias, view.join_attrs);
-  const JoinKey right_key =
-      JoinKey::resolve(right.schema(), view.join_attrs);
+  const ProbeSide side =
+      ProbeSide::make(left.schema(), right.schema(), view.join_attrs);
   auto result_schema = std::make_shared<const Schema>(Schema::join_result(
-      left.schema(), right.schema(), right_key.attr_indices()));
+      left.schema(), right.schema(), side.key.attr_indices()));
   const std::size_t parts_n = pool_->num_threads() * 4;
   const std::size_t stride = (right.num_rows() + parts_n - 1) / parts_n;
   std::vector<std::optional<SubTable>> parts(parts_n);
@@ -108,7 +108,7 @@ SubTable LocalExecutor::execute_join(const ViewDef& view) const {
     parts[i].emplace(result_schema,
                      SubTableId{0, static_cast<ChunkId>(i)});
     if (begin < end) {
-      ht.probe_range(right, view.join_attrs, begin, end, *parts[i]);
+      ht.probe_range(right, side, begin, end, *parts[i]);
     }
   });
   SubTable out(result_schema, SubTableId{0, 0});

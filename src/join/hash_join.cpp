@@ -177,10 +177,25 @@ RightCopyPlan RightCopyPlan::make(const Schema& left, const Schema& right,
   return plan;
 }
 
+ProbeSide ProbeSide::make(const Schema& left, const Schema& right,
+                          const std::vector<std::string>& key_attrs) {
+  ProbeSide side{JoinKey::resolve(right, key_attrs), {}, right.record_size()};
+  side.plan = RightCopyPlan::make(left, right, side.key);
+  return side;
+}
+
 JoinStats BuiltHashTable::probe(const SubTable& right,
                                 const std::vector<std::string>& right_key_attrs,
                                 SubTable& out) const {
   return probe_range(right, right_key_attrs, 0, right.num_rows(), out);
+}
+
+JoinStats BuiltHashTable::probe_range(
+    const SubTable& right, const std::vector<std::string>& right_key_attrs,
+    std::size_t row_begin, std::size_t row_end, SubTable& out) const {
+  return probe_range(
+      right, ProbeSide::make(left_->schema(), right.schema(), right_key_attrs),
+      row_begin, row_end, out);
 }
 
 /// The kernel: per chunk, (1) canonicalize every probe row's key lanes and
@@ -192,16 +207,20 @@ JoinStats BuiltHashTable::probe(const SubTable& right,
 /// output buffer. Output row order is that of nested_loop_join: probe-row
 /// order, per-row matches in ascending left-row order (linear probing visits
 /// equal-key slots in insertion order).
-JoinStats BuiltHashTable::probe_range(
-    const SubTable& right, const std::vector<std::string>& right_key_attrs,
-    std::size_t row_begin, std::size_t row_end, SubTable& out) const {
-  const JoinKey right_key = JoinKey::resolve(right.schema(), right_key_attrs);
+JoinStats BuiltHashTable::probe_range(const SubTable& right,
+                                      const ProbeSide& side,
+                                      std::size_t row_begin,
+                                      std::size_t row_end,
+                                      SubTable& out) const {
+  const JoinKey& right_key = side.key;
+  const RightCopyPlan& plan = side.plan;
   ORV_REQUIRE(right_key.compatible_with(key_),
               "join keys differ in arity or integer/float lane family");
+  ORV_REQUIRE(right.record_size() == side.record_size &&
+                  left_->record_size() == plan.left_record_size,
+              "probe side was resolved for other schemas");
   ORV_REQUIRE(row_begin <= row_end && row_end <= right.num_rows(),
               "probe row range out of bounds");
-  const RightCopyPlan plan =
-      RightCopyPlan::make(left_->schema(), right.schema(), right_key);
   ORV_REQUIRE(out.record_size() == plan.result_record_size,
               "output schema does not match the join result layout");
 

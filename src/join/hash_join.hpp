@@ -63,6 +63,35 @@ struct JoinKernelOptions {
   std::size_t max_partitions = 512;
 };
 
+/// Plan for copying the non-key right attributes into result rows.
+struct RightCopyPlan {
+  struct Piece {
+    std::size_t src_offset;
+    std::size_t dst_offset;
+    std::size_t size;
+  };
+  std::vector<Piece> pieces;
+  std::size_t result_record_size = 0;
+  std::size_t left_record_size = 0;
+
+  static RightCopyPlan make(const Schema& left, const Schema& right,
+                            const JoinKey& right_key);
+};
+
+/// The probe side of a join resolved once: the right key, the copy plan
+/// into result rows, and the right record size. Build it once per query or
+/// probe loop and pass it to every probe; the string-taking probes resolve
+/// one per call.
+struct ProbeSide {
+  JoinKey key;
+  RightCopyPlan plan;
+  std::size_t record_size = 0;
+
+  /// Resolves `key_attrs` against `right` for tables built over `left`.
+  static ProbeSide make(const Schema& left, const Schema& right,
+                        const std::vector<std::string>& key_attrs);
+};
+
 /// Open-addressing (linear probing) hash table over a left sub-table's key,
 /// optionally radix-partitioned, with a Swiss-table-style 8-bit tag array.
 class BuiltHashTable {
@@ -92,6 +121,11 @@ class BuiltHashTable {
   JoinStats probe(const SubTable& right,
                   const std::vector<std::string>& right_key_attrs,
                   SubTable& out) const;
+  /// The same with the probe side resolved by the caller.
+  JoinStats probe(const SubTable& right, const ProbeSide& side,
+                  SubTable& out) const {
+    return probe_range(right, side, 0, right.num_rows(), out);
+  }
 
   /// Probes only rows [row_begin, row_end) of `right`; the parallel local
   /// executor partitions the probe side across threads with this (the
@@ -100,7 +134,11 @@ class BuiltHashTable {
   /// left-row order (that of nested_loop_join), with or without radix
   /// partitioning. The returned probe_tuples is row_end - row_begin, rows
   /// dropped by the key-range filter included. Throws InvalidArgument when
-  /// the keys are not compatible (JoinKey::compatible_with).
+  /// the keys are not compatible (JoinKey::compatible_with), or when `side`
+  /// was resolved for other schemas.
+  JoinStats probe_range(const SubTable& right, const ProbeSide& side,
+                        std::size_t row_begin, std::size_t row_end,
+                        SubTable& out) const;
   JoinStats probe_range(const SubTable& right,
                         const std::vector<std::string>& right_key_attrs,
                         std::size_t row_begin, std::size_t row_end,
@@ -165,20 +203,5 @@ SubTable hash_join(const SubTable& left, const SubTable& right,
 SubTable nested_loop_join(const SubTable& left, const SubTable& right,
                           const std::vector<std::string>& key_attrs,
                           SubTableId result_id);
-
-/// Plan for copying the non-key right attributes into result rows.
-struct RightCopyPlan {
-  struct Piece {
-    std::size_t src_offset;
-    std::size_t dst_offset;
-    std::size_t size;
-  };
-  std::vector<Piece> pieces;
-  std::size_t result_record_size = 0;
-  std::size_t left_record_size = 0;
-
-  static RightCopyPlan make(const Schema& left, const Schema& right,
-                            const JoinKey& right_key);
-};
 
 }  // namespace orv

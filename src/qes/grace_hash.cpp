@@ -29,6 +29,7 @@
 #include "fault/fault.hpp"
 #include "net/aggregator.hpp"
 #include "obs/obs.hpp"
+#include "qes/offload.hpp"
 #include "qes/qes.hpp"
 #include "qes/sampler.hpp"
 #include "sim/channel.hpp"
@@ -54,10 +55,11 @@ struct Batch {
 struct GhShared {
   GhShared(Cluster& c, BdsService& b, const MetaDataService& m,
            const JoinQuery& q, const QesOptions& o, SchemaPtr ls,
-           SchemaPtr rs, SchemaPtr result)
+           SchemaPtr rs, ProbeSide side, SchemaPtr result)
       : cluster(c), bds(b), meta(m), query(q), options(o),
         left_schema(std::move(ls)), right_schema(std::move(rs)),
-        result_schema(std::move(result)), life(c) {}
+        probe_side(std::move(side)), result_schema(std::move(result)),
+        life(c), jobs(o.result_sink) {}
 
   Cluster& cluster;
   BdsService& bds;
@@ -67,14 +69,14 @@ struct GhShared {
 
   SchemaPtr left_schema;
   SchemaPtr right_schema;
+  const ProbeSide probe_side;  // the right table's key and copy plan
   SchemaPtr result_schema;
   std::size_t n_buckets = 1;
 
   std::vector<std::unique_ptr<sim::Channel<Batch>>> to_compute;
 
-  // Accumulators.
-  std::uint64_t result_tuples = 0;
-  std::uint64_t fingerprint = 0;
+  // Event-loop accumulators (the offloaded bucket joins fold probe and
+  // result tuples and the fingerprint into `jobs`).
   JoinStats stats;
   double partition_phase_end = 0;
 
@@ -106,6 +108,11 @@ struct GhShared {
   // finishes.
   QueryLifecycle life;
   std::size_t computes_left = 0;
+
+  /// Each bucket's build, probe and fingerprint (offload.hpp). Declared
+  /// last: it is destroyed first, waiting for the jobs that read the
+  /// members above.
+  JoinOffload jobs;
 };
 
 /// Routing chain for one row: candidate k is h1 re-salted k times; the
@@ -700,16 +707,19 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
                                      static_cast<double>(right.num_rows())));
     }
 
-    SubTable out(sh.result_schema, SubTableId{0, out_seq++});
-    auto left_alias = std::shared_ptr<const SubTable>(&left, [](auto*) {});
-    const BuiltHashTable ht(left_alias, sh.query.join_attrs);
-    const JoinStats s = ht.probe(right, sh.query.join_attrs, out);
+    // The bucket's build, probe and fingerprint run on the host pool; the
+    // job owns both sides of the bucket.
     sh.stats.build_tuples += left.num_rows();
-    sh.stats.probe_tuples += s.probe_tuples;
-    sh.stats.result_tuples += s.result_tuples;
-    sh.result_tuples += s.result_tuples;
-    sh.fingerprint += out.unordered_fingerprint();
-    if (sh.options.result_sink) sh.options.result_sink(node, out);
+    const std::size_t probe_rows = right.num_rows();
+    sh.jobs.submit(
+        node, probe_rows, SubTable(sh.result_schema, SubTableId{0, out_seq++}),
+        [left = std::make_shared<const SubTable>(std::move(left)),
+         right = std::make_shared<const SubTable>(std::move(right)),
+         attrs = &sh.query.join_attrs,
+         side = &sh.probe_side](SubTable& out) {
+          return BuiltHashTable(left, *attrs).probe(*right, *side, out);
+        });
+    sh.jobs.poll();
   }
   book_busy();
 }
@@ -747,17 +757,12 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
 
   const auto left_schema = meta.table_schema(query.left_table);
   const auto right_schema = meta.table_schema(query.right_table);
-  const JoinKey right_key = JoinKey::resolve(*right_schema, query.join_attrs);
-
-  GhShared sh{cluster,
-              bds,
-              meta,
-              query,
-              options,
-              left_schema,
-              right_schema,
-              std::make_shared<const Schema>(Schema::join_result(
-                  *left_schema, *right_schema, right_key.attr_indices()))};
+  ProbeSide side =
+      ProbeSide::make(*left_schema, *right_schema, query.join_attrs);
+  auto result_schema = std::make_shared<const Schema>(Schema::join_result(
+      *left_schema, *right_schema, side.key.attr_indices()));
+  GhShared sh{cluster, bds, meta, query, options, left_schema, right_schema,
+              std::move(side), std::move(result_schema)};
 
   // Bucket count: every bucket pair must fit in memory (Section 4.2).
   const double total_bytes =
@@ -812,8 +817,16 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
       if (!first_error) first_error = std::current_exception();
     }
   }
+  if (!first_error) {
+    try {
+      sh.jobs.finish();  // fold every bucket still in flight
+    } catch (...) {
+      first_error = std::current_exception();
+    }
+  }
   if (first_error) {
-    sh.life.fail();  // the query died (e.g. every compute node crashed)
+    sh.jobs.abandon();  // no job may run past the query's end
+    sh.life.fail();     // the query died (e.g. every compute node crashed)
     std::rethrow_exception(first_error);
   }
   for (const auto& h : handles) {
@@ -824,9 +837,10 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
   result.elapsed = sh.life.elapsed();
   result.partition_phase = sh.partition_phase_end - sh.life.start;
   result.join_phase = result.elapsed - result.partition_phase;
-  result.result_tuples = sh.result_tuples;
-  result.result_fingerprint = sh.fingerprint;
   result.join_stats = sh.stats;
+  result.join_stats += sh.jobs.stats();
+  result.result_tuples = result.join_stats.result_tuples;
+  result.result_fingerprint = sh.jobs.fingerprint();
   result.network_bytes = cluster.network_bytes() - net0;
   // GH shuffles every record through the switch regardless of placement
   // (its egress path never uses the local bus), so local bytes stay 0.
@@ -845,7 +859,7 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
                     sh.compute_nodes_lost > 0;
   sh.life.complete(result.degraded);
   if (auto* ctx = obs::context()) {
-    ctx->registry.counter("gh.result_tuples").add(sh.result_tuples);
+    ctx->registry.counter("gh.result_tuples").add(result.result_tuples);
     ctx->registry.gauge("gh.n_buckets")
         .set(static_cast<double>(sh.n_buckets));
     ctx->registry.gauge("gh.partition_phase_seconds")

@@ -22,6 +22,7 @@
 // into a persistent session cache.
 
 #include <algorithm>
+#include <exception>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -30,6 +31,7 @@
 #include "common/strings.hpp"
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
+#include "qes/offload.hpp"
 #include "qes/qes.hpp"
 #include "qes/sampler.hpp"
 #include "sim/channel.hpp"
@@ -41,20 +43,22 @@ namespace {
 
 struct IjShared {
   IjShared(Cluster& c, BdsService& b, const MetaDataService& m,
-           const JoinQuery& q, const QesOptions& o, SchemaPtr schema)
+           const JoinQuery& q, const QesOptions& o, ProbeSide side,
+           SchemaPtr schema)
       : cluster(c), bds(b), meta(m), query(q), options(o),
-        result_schema(std::move(schema)), life(c) {}
+        probe_side(std::move(side)), result_schema(std::move(schema)),
+        life(c), jobs(o.result_sink) {}
 
   Cluster& cluster;
   BdsService& bds;
   const MetaDataService& meta;
   const JoinQuery& query;
   const QesOptions& options;
+  const ProbeSide probe_side;  // the right table's key and copy plan
   SchemaPtr result_schema;
 
-  // Accumulators (single-threaded engine: plain writes are safe).
-  std::uint64_t result_tuples = 0;
-  std::uint64_t fingerprint = 0;
+  // Event-loop accumulators (the offloaded jobs fold probe and result
+  // tuples and the fingerprint into `jobs`).
   JoinStats stats;
   std::uint64_t fetches = 0;
   std::uint64_t builds = 0;
@@ -83,6 +87,11 @@ struct IjShared {
   // Root span, trace id, occupancy sampler and completion time. The
   // supervisor span node spans parent on opens under life.span.
   QueryLifecycle life;
+
+  /// Each accumulated pair's probe, filter and fingerprint (offload.hpp).
+  /// Declared last: it is destroyed first, waiting for the jobs that read
+  /// the members above.
+  JoinOffload jobs;
 };
 
 /// One BDS round trip for `ids` on behalf of `node`, with the query's
@@ -328,7 +337,9 @@ sim::Task<> ij_prefetcher(IjShared& sh, std::size_t node, bool raw,
 /// output materialized, filtered (persistent caches hold raw sub-tables;
 /// the selection over the join output is equivalent for conjunctive
 /// per-attribute ranges, since key attrs survive the join), accumulated
-/// and handed to the result sink.
+/// and handed to the result sink. Those last steps are one offloaded job
+/// that shares ownership of the hash table and the right sub-table, so a
+/// cache eviction cannot pull them from under it.
 ///
 /// Fail-stop checks bracket the pair: once the node's crash time has
 /// passed it abandons the pair *before* accumulating its output, so every
@@ -375,18 +386,18 @@ sim::Task<bool> ij_join_pair(IjShared& sh, std::size_t node,
   co_await cpu.use(hw.gamma_lookup * factor *
                    static_cast<double>(right->num_rows()));
   if (inj && inj->compute_down(node)) co_return true;  // pre-accumulation
-  SubTable out(sh.result_schema, SubTableId{0, out_seq++});
-  const JoinStats s = ht->probe(*right, sh.query.join_attrs, out);
   probe_stage.tag("rows", right->num_rows());
   probe_stage.close();
-  sh.stats.probe_tuples += s.probe_tuples;
-  if (persistent && !sh.query.ranges.empty()) {
-    out = filter_rows(out, out.schema(), sh.query.ranges);
-  }
-  sh.stats.result_tuples += out.num_rows();
-  sh.result_tuples += out.num_rows();
-  sh.fingerprint += out.unordered_fingerprint();
-  if (sh.options.result_sink) sh.options.result_sink(node, out);
+  const std::vector<AttrRange>* filter =
+      persistent && !sh.query.ranges.empty() ? &sh.query.ranges : nullptr;
+  sh.jobs.submit(node, right->num_rows(),
+                 SubTable(sh.result_schema, SubTableId{0, out_seq++}),
+                 [ht, right, side = &sh.probe_side, filter](SubTable& out) {
+                   const JoinStats s = ht->probe(*right, *side, out);
+                   if (filter) out = filter_rows(out, out.schema(), *filter);
+                   return s;
+                 });
+  sh.jobs.poll();
   co_return false;
 }
 
@@ -569,7 +580,18 @@ sim::Task<> ij_supervisor(IjShared& sh,
           strformat("ij-node-%zu", j)));
     }
     first_round = false;
-    for (auto& h : handles) co_await h.join();
+    // Join every node before surfacing the first failure (in spawn order):
+    // the nodes reference this query's shared state, which a rethrow here
+    // would tear down under them.
+    std::exception_ptr first_error;
+    for (auto& h : handles) {
+      try {
+        co_await h.join();
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
     for (std::size_t j = 0; j < work.size(); ++j) {
       if (sh.dead[j] && alive[j]) {
         alive[j] = 0;
@@ -607,15 +629,12 @@ sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
 
   const auto left_schema = meta.table_schema(query.left_table);
   const auto right_schema = meta.table_schema(query.right_table);
-  const JoinKey right_key =
-      JoinKey::resolve(*right_schema, query.join_attrs);
-  IjShared sh{cluster,
-              bds,
-              meta,
-              query,
-              options,
-              std::make_shared<const Schema>(Schema::join_result(
-                  *left_schema, *right_schema, right_key.attr_indices()))};
+  ProbeSide side =
+      ProbeSide::make(*left_schema, *right_schema, query.join_attrs);
+  auto result_schema = std::make_shared<const Schema>(Schema::join_result(
+      *left_schema, *right_schema, side.key.attr_indices()));
+  IjShared sh{cluster, bds, meta, query, options, std::move(side),
+              std::move(result_schema)};
 
   Schedule schedule;
   if (options.assign == ComponentAssign::CacheAffinity &&
@@ -670,8 +689,10 @@ sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
   sh.life.spawn_sampler("ij-sampler");
   try {
     co_await sup.join();
+    sh.jobs.finish();  // fold every pair still in flight
   } catch (...) {
-    sh.life.fail();  // the query died (e.g. unrecoverable fault)
+    sh.jobs.abandon();  // no job may run past the query's end
+    sh.life.fail();     // the query died (e.g. unrecoverable fault)
     throw;
   }
   ORV_CHECK(sup.done(), "IJ supervisor did not finish");
@@ -679,9 +700,10 @@ sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
   QesResult result;
   result.elapsed = sh.life.elapsed();
   result.join_phase = result.elapsed;
-  result.result_tuples = sh.result_tuples;
-  result.result_fingerprint = sh.fingerprint;
   result.join_stats = sh.stats;
+  result.join_stats += sh.jobs.stats();
+  result.result_tuples = result.join_stats.result_tuples;
+  result.result_fingerprint = sh.jobs.fingerprint();
   result.subtable_fetches = sh.fetches;
   result.hash_tables_built = sh.builds;
   result.cache_stats = sh.cache_total;
@@ -708,7 +730,7 @@ sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
   if (auto* ctx = obs::context()) {
     ctx->registry.counter("ij.subtable_fetches").add(sh.fetches);
     ctx->registry.counter("ij.hash_tables_built").add(sh.builds);
-    ctx->registry.counter("ij.result_tuples").add(sh.result_tuples);
+    ctx->registry.counter("ij.result_tuples").add(result.result_tuples);
     ctx->registry.gauge("ij.elapsed_seconds").set(result.elapsed);
     if (options.prefetch_lookahead > 0) {
       ctx->registry.counter("prefetch.issued").add(sh.prefetch_issued);

@@ -129,10 +129,12 @@ struct QesOptions {
 
   std::uint64_t seed = 0;  // for randomized ablation strategies
 
-  /// Optional per-result-fragment hook, invoked at the producing compute
+  /// Optional per-result-fragment hook, invoked for the producing compute
   /// node with each pair/bucket join output (before it is discarded). The
   /// distributed DDS layer uses it for node-side aggregation and for
-  /// materializing query results.
+  /// materializing query results. It runs on the thread that runs the
+  /// simulation, in the order the pairs/buckets were joined, before the
+  /// query returns (DESIGN.md §5j); an exception from it fails the query.
   std::function<void(std::size_t node, const SubTable& fragment)> result_sink;
 };
 
