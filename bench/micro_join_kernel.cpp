@@ -4,10 +4,9 @@
 // measured ns/tuple * F.
 //
 // Besides the google-benchmark suites, main() always runs a probe sweep of
-// the unpartitioned ("batched") against the radix-partitioned ("tuned")
-// table across build sizes spanning the L2/L3 boundary and writes the
-// results as machine-readable JSON (default BENCH_join_kernel.json, or the
-// path given by --sweep_json=...), so successive changes can track the
+// the join table across build sizes spanning the L2/L3 boundary and writes
+// the results as machine-readable JSON (default BENCH_join_kernel.json, or
+// the path given by --sweep_json=...), so successive changes can track the
 // kernel's throughput trajectory.
 
 #include <benchmark/benchmark.h>
@@ -53,37 +52,24 @@ std::shared_ptr<SubTable> make_rows(SchemaPtr schema, std::size_t n,
   return st;
 }
 
-/// Variant 0 = "batched" (unpartitioned table), 1 = "tuned" (radix build).
-JoinKernelOptions kernel_options(int variant) {
-  JoinKernelOptions o;
-  o.radix_build = variant != 0;
-  return o;
-}
-
-const char* kVariantNames[] = {"batched", "tuned"};
-
 void BM_HashTableBuild(benchmark::State& state) {
   const auto rows = make_rows(wide_schema(4), state.range(0), 1);
-  const JoinKernelOptions opt = kernel_options(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    BuiltHashTable ht(rows, {"k"}, opt);
+    BuiltHashTable ht(rows, {"k"});
     benchmark::DoNotOptimize(ht.table_bytes());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(kVariantNames[state.range(1)]);
 }
 BENCHMARK(BM_HashTableBuild)
-    ->Args({1 << 10, 1})
-    ->Args({1 << 14, 1})
-    ->Args({1 << 17, 0})
-    ->Args({1 << 17, 1})
-    ->Args({1 << 20, 0})
-    ->Args({1 << 20, 1});
+    ->Arg(1 << 10)
+    ->Arg(1 << 14)
+    ->Arg(1 << 17)
+    ->Arg(1 << 20);
 
 void BM_HashTableProbe(benchmark::State& state) {
   const auto left = make_rows(wide_schema(4), state.range(0), 1);
   const auto right = make_rows(wide_schema(4), state.range(0), 2);
-  BuiltHashTable ht(left, {"k"}, kernel_options(static_cast<int>(state.range(1))));
+  BuiltHashTable ht(left, {"k"});
   const JoinKey rkey = JoinKey::resolve(right->schema(), {"k"});
   auto result_schema = std::make_shared<const Schema>(Schema::join_result(
       left->schema(), right->schema(), rkey.attr_indices()));
@@ -92,15 +78,12 @@ void BM_HashTableProbe(benchmark::State& state) {
     benchmark::DoNotOptimize(ht.probe(*right, {"k"}, out));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(kVariantNames[state.range(1)]);
 }
 BENCHMARK(BM_HashTableProbe)
-    ->Args({1 << 10, 1})
-    ->Args({1 << 14, 1})
-    ->Args({1 << 17, 0})
-    ->Args({1 << 17, 1})
-    ->Args({1 << 20, 0})
-    ->Args({1 << 20, 1});
+    ->Arg(1 << 10)
+    ->Arg(1 << 14)
+    ->Arg(1 << 17)
+    ->Arg(1 << 20);
 
 // The paper's record-size-independence claim: build cost per tuple should
 // be flat across record widths (pointer-valued hash table).
@@ -125,7 +108,7 @@ void BM_EndToEndHashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndHashJoin)->Arg(1 << 12)->Arg(1 << 16);
 
-// --- Batched vs tuned sweep, emitted as JSON ------------------------------
+// --- Probe sweep by build size, emitted as JSON ---------------------------
 
 double probe_ns_per_tuple(const BuiltHashTable& ht, const SubTable& right,
                           const SchemaPtr& result_schema) {
@@ -154,11 +137,9 @@ void run_sweep(const std::string& path) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return;
   }
-  const JoinKernelOptions batched = kernel_options(0);
-  const JoinKernelOptions tuned = kernel_options(1);
   std::fprintf(f, "{\n  \"bench\": \"join_kernel_probe_sweep\",\n");
   std::fprintf(f, "  \"record_bytes\": %zu,\n", wide_schema(4)->record_size());
-  std::fprintf(f, "  \"l2_bytes\": %zu,\n  \"points\": [\n", tuned.l2_bytes);
+  std::fprintf(f, "  \"points\": [\n");
   bool first = true;
   for (int lg = 14; lg <= 20; ++lg) {
     const std::size_t n = std::size_t{1} << lg;
@@ -167,23 +148,16 @@ void run_sweep(const std::string& path) {
     auto result_schema = std::make_shared<const Schema>(Schema::join_result(
         left->schema(), right->schema(),
         JoinKey::resolve(right->schema(), {"k"}).attr_indices()));
-    const BuiltHashTable flat(left, {"k"}, batched);
-    const BuiltHashTable fast(left, {"k"}, tuned);
-    const double b_ns = probe_ns_per_tuple(flat, *right, result_schema);
-    const double f_ns = probe_ns_per_tuple(fast, *right, result_schema);
+    const BuiltHashTable ht(left, {"k"});
+    const double ns = probe_ns_per_tuple(ht, *right, result_schema);
     if (!first) std::fprintf(f, ",\n");
     first = false;
     std::fprintf(f,
                  "    {\"build_rows\": %zu, \"table_bytes\": %zu, "
-                 "\"partitions\": %zu, \"batched_ns_per_tuple\": %.2f, "
-                 "\"tuned_ns_per_tuple\": %.2f, \"speedup\": %.2f}",
-                 n, fast.table_bytes(), fast.num_partitions(), b_ns, f_ns,
-                 b_ns / f_ns);
-    std::fprintf(stderr,
-                 "sweep rows=%zu table=%zuKiB parts=%zu batched=%.1fns "
-                 "tuned=%.1fns speedup=%.2fx\n",
-                 n, fast.table_bytes() >> 10, fast.num_partitions(), b_ns,
-                 f_ns, b_ns / f_ns);
+                 "\"ns_per_tuple\": %.2f}",
+                 n, ht.table_bytes(), ns);
+    std::fprintf(stderr, "sweep rows=%zu table=%zuKiB probe=%.1fns/tuple\n",
+                 n, ht.table_bytes() >> 10, ns);
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);

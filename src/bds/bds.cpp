@@ -80,36 +80,6 @@ sim::Task<std::shared_ptr<const SubTable>> BdsInstance::produce(
   co_return st;
 }
 
-namespace {
-
-/// Record-level range filter shared with the QES layer (defined there).
-SubTable filter_subtable(const SubTable& st,
-                         const std::vector<AttrRange>& ranges) {
-  Rect pred = Rect::unbounded(st.schema().num_attrs());
-  bool constrained = false;
-  for (const auto& r : ranges) {
-    if (auto idx = st.schema().index_of(r.attr)) {
-      pred[*idx] = pred[*idx].intersect(r.range);
-      constrained = true;
-    }
-  }
-  if (!constrained) {
-    SubTable copy(st.schema_ptr(), st.id());
-    auto bytes = st.bytes();
-    copy.adopt_bytes({bytes.begin(), bytes.end()});
-    copy.set_bounds(st.bounds());
-    return copy;
-  }
-  SubTable out(st.schema_ptr(), st.id());
-  for (std::size_t r = 0; r < st.num_rows(); ++r) {
-    if (st.row_in(r, pred)) out.append_row({st.row(r), st.record_size()});
-  }
-  out.compute_bounds();
-  return out;
-}
-
-}  // namespace
-
 sim::Task<std::shared_ptr<const SubTable>> BdsInstance::fetch_to_compute(
     SubTableId id, std::size_t compute_node,
     const std::vector<AttrRange>* ranges, obs::TraceContext rpc) {
@@ -154,7 +124,7 @@ sim::Task<std::shared_ptr<const SubTable>> BdsInstance::fetch_to_compute(
   auto st = std::make_shared<const SubTable>(extract_chunk(chunk_bytes));
   ORV_CHECK(st->id() == id, "extracted sub-table id mismatch");
   if (ranges != nullptr && !ranges->empty()) {
-    st = std::make_shared<const SubTable>(filter_subtable(*st, *ranges));
+    st = std::make_shared<const SubTable>(filter_rows(*st, *ranges));
   }
 
   const sim::Time read_done = cluster_.storage_disk(node_).reserve_read(
@@ -256,7 +226,7 @@ BdsInstance::fetch_batch_to_compute(std::vector<SubTableId> ids,
     auto st = std::make_shared<const SubTable>(extract_chunk(chunk_bytes));
     ORV_CHECK(st->id() == id, "extracted sub-table id mismatch");
     if (ranges != nullptr && !ranges->empty()) {
-      st = std::make_shared<const SubTable>(filter_subtable(*st, *ranges));
+      st = std::make_shared<const SubTable>(filter_rows(*st, *ranges));
     }
     shipped_bytes += static_cast<double>(st->size_bytes());
     ++stats_.subtables_served;

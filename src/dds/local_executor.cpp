@@ -63,7 +63,7 @@ SubTable LocalExecutor::scan(TableId table,
     const auto& cm = meta_.chunk(id);
     const auto bytes = stores_.at(cm.location.storage_node)->read(cm.location);
     SubTable st = extract_chunk(bytes);
-    if (!ranges.empty()) st = filter_rows(st, st.schema(), ranges);
+    if (!ranges.empty()) st = filter_rows(st, ranges);
     return st;
   };
 
@@ -127,7 +127,7 @@ SubTable LocalExecutor::execute(const ViewDef& view) const {
         return scan(view.input->table, view.ranges);
       }
       SubTable in = execute(*view.input);
-      return filter_rows(in, in.schema(), view.ranges);
+      return filter_rows(in, view.ranges);
     }
 
     case ViewDef::Kind::Project: {

@@ -25,6 +25,15 @@ std::uint64_t table_capacity_for(std::size_t rows) {
   return std::bit_ceil(wanted);
 }
 
+/// Probe rows hashed ahead of the probe cursor for software prefetch: far
+/// enough to cover one DRAM miss per row, near enough that the prefetched
+/// lines are still resident when the cursor reaches them.
+constexpr std::size_t kProbeBatch = 16;
+/// Probe rows canonicalized, filtered and hashed per chunk: bounds the
+/// per-call lane/hash scratch (and the match buffer's usual size) so it
+/// stays in L1/L2 however long the probe range is.
+constexpr std::size_t kProbeChunk = 2048;
+
 /// One probe hit: probe-row position within the current chunk plus the
 /// matching left row. Kept small so the match buffer stays cache-resident;
 /// the buffer holds it bit-cast to one 64-bit word.
@@ -47,20 +56,23 @@ inline std::uint64_t lane_order(std::uint64_t lane) {
 }  // namespace
 
 BuiltHashTable::BuiltHashTable(std::shared_ptr<const SubTable> left,
-                               const std::vector<std::string>& key_attrs,
-                               const JoinKernelOptions& options)
+                               const std::vector<std::string>& key_attrs)
     : left_(std::move(left)),
-      key_(JoinKey::resolve(left_->schema(), key_attrs)),
-      options_(options) {
+      key_(JoinKey::resolve(left_->schema(), key_attrs)) {
   ORV_REQUIRE(left_->num_rows() < kEmpty, "left sub-table too large");
   const std::size_t n = left_->num_rows();
   const std::size_t rs = left_->record_size();
   const std::byte* rows = left_->bytes().data();
 
-  // Hash every left row once; the same hashes drive partition choice and
-  // slot insertion. The same pass takes each lane's key range, with
-  // branches rather than min/max so a row inside the bounds seen so far
-  // stores nothing.
+  const std::uint64_t cap = table_capacity_for(n);
+  mask_ = cap - 1;
+  slots_.assign(cap, Slot{});
+  tags_.assign(cap, kEmptyTag);
+
+  // Hash every left row, then insert. The hash pass also takes each lane's
+  // key range, with branches rather than min/max so a row inside the bounds
+  // seen so far stores nothing. Keeping the inserts' unpredictable slot walks
+  // out of the hash loop measured faster than one fused loop.
   const std::size_t arity = key_.arity();
   std::fill_n(lane_min_, kMaxKeyArity, ~std::uint64_t{0});
   std::fill_n(lane_max_, kMaxKeyArity, std::uint64_t{0});
@@ -75,55 +87,19 @@ BuiltHashTable::BuiltHashTable(std::shared_ptr<const SubTable> left,
     }
     hashes[r] = hash_lanes({lanes, arity}, kSaltInMemory);
   }
-
-  // Partition count: one partition while the table structure fits L2;
-  // otherwise enough power-of-two partitions that each partition's tag +
-  // slot arrays fit in about half of it.
-  std::size_t nparts = 1;
-  if (options_.radix_build && options_.l2_bytes > 0) {
-    const std::size_t struct_bytes =
-        table_capacity_for(n) * (sizeof(Slot) + sizeof(std::uint8_t));
-    if (struct_bytes > options_.l2_bytes) {
-      nparts = std::bit_ceil(2 * struct_bytes / options_.l2_bytes);
-      const std::size_t cap =
-          std::bit_floor(std::max<std::size_t>(1, options_.max_partitions));
-      nparts = std::min(nparts, cap);
-    }
-  }
-
-  // Size each partition for its actual row count (radix splits are never
-  // perfectly even), then lay partitions out back to back.
-  std::vector<std::size_t> counts(nparts, 0);
-  if (nparts > 1) {
-    for (std::uint64_t h : hashes) ++counts[(h >> 40) & (nparts - 1)];
-  } else {
-    counts[0] = n;
-  }
-  parts_.resize(nparts);
-  std::uint64_t offset = 0;
-  for (std::size_t p = 0; p < nparts; ++p) {
-    const std::uint64_t cap = table_capacity_for(counts[p]);
-    parts_[p] = Partition{offset, cap - 1};
-    offset += cap;
-  }
-  slots_.assign(offset, Slot{});
-  tags_.assign(offset, kEmptyTag);
-
   for (std::size_t r = 0; r < n; ++r) {
-    insert(parts_[partition_of(hashes[r])], hashes[r],
-           static_cast<std::uint32_t>(r));
+    insert(hashes[r], static_cast<std::uint32_t>(r));
   }
 }
 
-void BuiltHashTable::insert(const Partition& part, std::uint64_t hash,
-                            std::uint32_t row) {
+void BuiltHashTable::insert(std::uint64_t hash, std::uint32_t row) {
   // Walk the dense tag array, not the 16-byte slots: a nonzero tag marks
   // an occupied slot.
-  std::uint64_t i = hash & part.mask;
-  while (tags_[part.offset + i] != kEmptyTag) i = (i + 1) & part.mask;
-  slots_[part.offset + i].hash = hash;
-  slots_[part.offset + i].row = row;
-  tags_[part.offset + i] = tag_of(hash);
+  std::uint64_t i = hash & mask_;
+  while (tags_[i] != kEmptyTag) i = (i + 1) & mask_;
+  slots_[i].hash = hash;
+  slots_[i].row = row;
+  tags_[i] = tag_of(hash);
 }
 
 template <typename Fn>
@@ -133,15 +109,14 @@ void BuiltHashTable::for_each_match(std::uint64_t hash,
   const std::size_t rs = left_->record_size();
   const std::byte* rows = left_->bytes().data();
   std::uint64_t left_lanes[kMaxKeyArity];
-  const Partition& part = parts_[partition_of(hash)];
-  std::uint64_t i = hash & part.mask;
-  while (slots_[part.offset + i].row != kEmpty) {
-    if (slots_[part.offset + i].hash == hash) {
-      const std::byte* lrow = rows + slots_[part.offset + i].row * rs;
+  std::uint64_t i = hash & mask_;
+  while (slots_[i].row != kEmpty) {
+    if (slots_[i].hash == hash) {
+      const std::byte* lrow = rows + slots_[i].row * rs;
       key_.extract_lanes(lrow, left_lanes);
-      if (key_.lanes_equal(left_lanes, lanes)) fn(slots_[part.offset + i].row);
+      if (key_.lanes_equal(left_lanes, lanes)) fn(slots_[i].row);
     }
-    i = (i + 1) & part.mask;
+    i = (i + 1) & mask_;
   }
 }
 
@@ -198,15 +173,14 @@ JoinStats BuiltHashTable::probe_range(
       row_begin, row_end, out);
 }
 
-/// The kernel: per chunk, (1) canonicalize every probe row's key lanes and
-/// keep only rows inside the build's per-lane key range, then hash the
-/// survivors, (2) in radix mode regroup the survivors by partition so one
-/// partition's structure stays hot, (3) probe with a rolling software
-/// prefetch `probe_batch` rows ahead, tag byte checked before any Slot load,
-/// (4) restore probe-row order, (5) write joined records directly into the
-/// output buffer. Output row order is that of nested_loop_join: probe-row
-/// order, per-row matches in ascending left-row order (linear probing visits
-/// equal-key slots in insertion order).
+/// The kernel: per chunk of kProbeChunk rows, (1) canonicalize every probe
+/// row's key lanes and keep only rows inside the build's per-lane key range,
+/// then hash the survivors, (2) probe with a rolling software prefetch
+/// kProbeBatch rows ahead, tag byte checked before any Slot load, (3) write
+/// joined records directly into the output buffer. Output row order is that
+/// of nested_loop_join: probe-row order, per-row matches in ascending
+/// left-row order (linear probing visits equal-key slots in insertion
+/// order).
 JoinStats BuiltHashTable::probe_range(const SubTable& right,
                                       const ProbeSide& side,
                                       std::size_t row_begin,
@@ -235,17 +209,13 @@ JoinStats BuiltHashTable::probe_range(const SubTable& right,
   const std::byte* lrows = left_->bytes().data();
   const std::byte* rrows = right.bytes().data();
   const std::size_t arity = key_.arity();
-  const std::size_t chunk_rows = std::max<std::size_t>(options_.probe_chunk, 1);
-  const std::size_t batch =
-      std::clamp<std::size_t>(options_.probe_batch, 1, 64);
-  const bool radix = parts_.size() > 1;
 
   // Per-call scratch in one allocation, sized for the rows this call can
   // actually probe: key lanes by chunk position, the survivors' hashes and
   // chunk positions, then the candidate matches. Only the match region, last
   // in the block, can outgrow it (a chunk with more candidates than rows);
   // growing doubles it and copies the block.
-  const std::size_t scratch_rows = std::min(chunk_rows, row_end - row_begin);
+  const std::size_t scratch_rows = std::min(kProbeChunk, row_end - row_begin);
   const std::size_t fixed_words = scratch_rows * (arity + 2);
   std::unique_ptr<std::uint64_t[]> scratch;
   std::size_t match_cap = 0;
@@ -268,13 +238,8 @@ JoinStats BuiltHashTable::probe_range(const SubTable& right,
   };
   reserve_matches(scratch_rows);
 
-  std::vector<std::uint32_t> order;       // partition-grouped survivor order
-  std::vector<std::uint32_t> bucket_pos;  // per-partition cursors
-  std::vector<std::uint64_t> sorted;      // matches in restored order
-  std::vector<std::uint32_t> emit_pos;  // per-probe-row cursors for restore
-
-  for (std::size_t cb = row_begin; cb < row_end; cb += chunk_rows) {
-    const std::size_t cn = std::min(chunk_rows, row_end - cb);
+  for (std::size_t cb = row_begin; cb < row_end; cb += kProbeChunk) {
+    const std::size_t cn = std::min(kProbeChunk, row_end - cb);
 
     // (1) Canonicalize the key lanes once per probe row and test them
     // against the build's key range; compact the surviving chunk positions
@@ -297,87 +262,47 @@ JoinStats BuiltHashTable::probe_range(const SubTable& right,
                              kSaltInMemory);
     }
 
-    // (2) Counting-sort survivors by partition so probes of one partition
-    // cluster in time and its tags/slots stay L2-resident.
-    const std::uint32_t* ord = nullptr;
-    if (radix) {
-      bucket_pos.assign(parts_.size() + 1, 0);
-      for (std::size_t k = 0; k < ns; ++k) {
-        ++bucket_pos[partition_of(hashes[k]) + 1];
-      }
-      for (std::size_t p = 1; p <= parts_.size(); ++p) {
-        bucket_pos[p] += bucket_pos[p - 1];
-      }
-      order.resize(ns);
-      for (std::size_t k = 0; k < ns; ++k) {
-        order[bucket_pos[partition_of(hashes[k])]++] =
-            static_cast<std::uint32_t>(k);
-      }
-      ord = order.data();
-    }
-
-    // (3) Probe with a rolling prefetch `batch` rows ahead of the cursor.
-    // Hash hits become *candidates* — the left row is only prefetched here,
-    // and the full key compare is deferred to the emit pass, so the
-    // dependent left-payload load never stalls the probe loop. Equal full
-    // hashes are almost always true matches, so candidate order is match
-    // order.
+    // (2) Probe with a rolling prefetch kProbeBatch rows ahead of the
+    // cursor. Hash hits become *candidates* — the left row is only
+    // prefetched here, and the full key compare is deferred to the emit
+    // pass, so the dependent left-payload load never stalls the probe loop.
+    // Equal full hashes are almost always true matches, so candidate order
+    // is match order.
     std::size_t n_cand = 0;
     for (std::size_t k = 0; k < ns; ++k) {
-      if (k + batch < ns) {
-        const std::uint64_t nh = hashes[ord ? ord[k + batch] : k + batch];
-        const Partition& np = parts_[partition_of(nh)];
-        const std::uint64_t nidx = np.offset + (nh & np.mask);
+      if (k + kProbeBatch < ns) {
+        const std::uint64_t nidx = hashes[k + kProbeBatch] & mask_;
         ORV_PREFETCH(&tags_[nidx]);
         ORV_PREFETCH(&slots_[nidx]);
       }
-      const std::size_t sk = ord ? ord[k] : k;
-      const std::uint64_t h = hashes[sk];
-      const auto pj = static_cast<std::uint32_t>(surv[sk]);
+      const std::uint64_t h = hashes[k];
+      const auto pj = static_cast<std::uint32_t>(surv[k]);
       const std::uint8_t want = tag_of(h);
-      const Partition& part = parts_[partition_of(h)];
-      std::uint64_t i = h & part.mask;
+      std::uint64_t i = h & mask_;
       for (;;) {
-        const std::uint8_t t = tags_[part.offset + i];
+        const std::uint8_t t = tags_[i];
         if (t == kEmptyTag) break;
         if (t == want) {
-          const Slot& s = slots_[part.offset + i];
+          const Slot& s = slots_[i];
           if (s.hash == h) {
             ORV_PREFETCH(lrows + s.row * lrs);
             if (n_cand == match_cap) reserve_matches(2 * match_cap);
             matches[n_cand++] = std::bit_cast<std::uint64_t>(Match{pj, s.row});
           }
         }
-        i = (i + 1) & part.mask;
+        i = (i + 1) & mask_;
       }
     }
     if (n_cand == 0) continue;
 
-    // (4) Partition grouping permuted probe order; restore it with a
-    // stable counting sort on the chunk position (all matches of one probe
-    // row are already consecutive and in chain order).
-    const std::uint64_t* emit = matches;
-    if (radix) {
-      emit_pos.assign(cn + 1, 0);
-      for (std::size_t m = 0; m < n_cand; ++m) {
-        ++emit_pos[std::bit_cast<Match>(matches[m]).pos + 1];
-      }
-      for (std::size_t j = 1; j <= cn; ++j) emit_pos[j] += emit_pos[j - 1];
-      sorted.resize(n_cand);
-      for (std::size_t m = 0; m < n_cand; ++m) {
-        sorted[emit_pos[std::bit_cast<Match>(matches[m]).pos]++] = matches[m];
-      }
-      emit = sorted.data();
-    }
-
-    // (5) Verify candidates (drop full-hash collisions) and zero-copy
+    // (3) Verify candidates (drop full-hash collisions) and zero-copy
     // emit: left prefix then the right copy-plan pieces, written straight
     // into the reserved output rows.
     std::uint64_t left_lanes[kMaxKeyArity];
     std::byte* dst = out.append_rows_reserve(n_cand);
     std::size_t emitted = 0;
     for (std::size_t m = 0; m < n_cand; ++m) {
-      const Match match = std::bit_cast<Match>(emit[m]);
+      const Match match = std::bit_cast<Match>(matches[m]);
       const std::byte* lrow = lrows + match.lrow * lrs;
       key_.extract_lanes(lrow, left_lanes);
       if (!key_.lanes_equal(left_lanes, lanes_buf + match.pos * arity)) {

@@ -15,9 +15,6 @@
 //    that miss touch one byte per visited slot;
 //  - probe rows are processed in batches with software prefetch on the next
 //    batch's slot groups, hiding DRAM latency on cache-exceeding tables;
-//  - builds whose working set exceeds L2 are radix-partitioned by high hash
-//    bits, and each probe chunk is regrouped by partition so one partition's
-//    tags/slots stay resident while it is probed;
 //  - matched rows are written straight into the output sub-table through
 //    SubTable::append_rows_reserve (no staging row buffer, single copy);
 //  - the table keeps each key lane's [min, max] over the build rows, and a
@@ -45,22 +42,6 @@ struct JoinStats {
     result_tuples += o.result_tuples;
     return *this;
   }
-};
-
-/// Knobs for the in-memory join kernel. Defaults are the tuned
-/// cache-conscious path.
-struct JoinKernelOptions {
-  /// Radix-partition the build when its working set exceeds `l2_bytes`.
-  bool radix_build = true;
-  /// Probe rows hashed/prefetched per pipeline batch.
-  std::size_t probe_batch = 16;
-  /// Partition threshold and sizing target: each partition's tag + slot
-  /// arrays are kept under about half of this.
-  std::size_t l2_bytes = 1u << 20;
-  /// Probe rows regrouped by partition per chunk (radix mode only).
-  std::size_t probe_chunk = 2048;
-  /// Hard cap on partition count.
-  std::size_t max_partitions = 512;
 };
 
 /// Plan for copying the non-key right attributes into result rows.
@@ -93,23 +74,21 @@ struct ProbeSide {
 };
 
 /// Open-addressing (linear probing) hash table over a left sub-table's key,
-/// optionally radix-partitioned, with a Swiss-table-style 8-bit tag array.
+/// with a Swiss-table-style 8-bit tag array.
 class BuiltHashTable {
  public:
   /// Builds from `left` on `key_attrs`. The left sub-table is shared-owned
   /// and must not be mutated afterwards.
   BuiltHashTable(std::shared_ptr<const SubTable> left,
-                 const std::vector<std::string>& key_attrs,
-                 const JoinKernelOptions& options = {});
+                 const std::vector<std::string>& key_attrs);
 
   const SubTable& left() const { return *left_; }
   const std::shared_ptr<const SubTable>& left_ptr() const { return left_; }
   const JoinKey& key() const { return key_; }
-  const JoinKernelOptions& options() const { return options_; }
   std::uint64_t build_tuples() const { return left_->num_rows(); }
-  std::size_t num_partitions() const { return parts_.size(); }
 
-  /// Bytes of table structure (excludes the left sub-table payload).
+  /// Bytes of table structure (excludes the left sub-table payload); a
+  /// function of the row count alone.
   std::size_t table_bytes() const {
     return slots_.capacity() * sizeof(Slot) + tags_.capacity();
   }
@@ -131,11 +110,11 @@ class BuiltHashTable {
   /// executor partitions the probe side across threads with this (the
   /// table is immutable during probing, so concurrent calls are safe).
   /// Output row order is probe-row order with per-row matches in ascending
-  /// left-row order (that of nested_loop_join), with or without radix
-  /// partitioning. The returned probe_tuples is row_end - row_begin, rows
-  /// dropped by the key-range filter included. Throws InvalidArgument when
-  /// the keys are not compatible (JoinKey::compatible_with), or when `side`
-  /// was resolved for other schemas.
+  /// left-row order (that of nested_loop_join). The returned probe_tuples
+  /// is row_end - row_begin, rows dropped by the key-range filter included.
+  /// Throws InvalidArgument when the keys are not compatible
+  /// (JoinKey::compatible_with), or when `side` was resolved for other
+  /// schemas.
   JoinStats probe_range(const SubTable& right, const ProbeSide& side,
                         std::size_t row_begin, std::size_t row_end,
                         SubTable& out) const;
@@ -154,12 +133,6 @@ class BuiltHashTable {
     std::uint64_t hash = 0;
     std::uint32_t row = kEmpty;
   };
-  /// One radix partition: a power-of-two span [offset, offset + mask + 1)
-  /// of the shared tag/slot arrays.
-  struct Partition {
-    std::uint64_t offset = 0;
-    std::uint64_t mask = 0;
-  };
   static constexpr std::uint32_t kEmpty = 0xffffffffu;
   static constexpr std::uint8_t kEmptyTag = 0;
 
@@ -167,13 +140,7 @@ class BuiltHashTable {
   static std::uint8_t tag_of(std::uint64_t hash) {
     return static_cast<std::uint8_t>(hash >> 56) | 1;
   }
-  /// Partition index from high hash bits (disjoint from slot-index bits for
-  /// all supported table sizes).
-  std::size_t partition_of(std::uint64_t hash) const {
-    return (hash >> 40) & (parts_.size() - 1);
-  }
-
-  void insert(const Partition& part, std::uint64_t hash, std::uint32_t row);
+  void insert(std::uint64_t hash, std::uint32_t row);
 
   template <typename Fn>
   void for_each_match(std::uint64_t hash, const std::uint64_t* lanes,
@@ -181,10 +148,10 @@ class BuiltHashTable {
 
   std::shared_ptr<const SubTable> left_;
   JoinKey key_;
-  JoinKernelOptions options_;
   std::vector<Slot> slots_;
   std::vector<std::uint8_t> tags_;
-  std::vector<Partition> parts_;
+  /// slots_.size() - 1; the table size is a power of two.
+  std::uint64_t mask_ = 0;
   /// Per-lane [min, max] of the build keys under the filter's order map
   /// (hash_join.cpp); an empty table keeps min > max, so it drops every
   /// probe row.

@@ -193,4 +193,31 @@ MetaDataService MetaDataService::deserialize(ByteReader& r) {
   return svc;
 }
 
+SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges) {
+  const Schema& schema = st.schema();
+  Rect pred = Rect::unbounded(schema.num_attrs());
+  bool constrained = false;
+  for (const auto& r : ranges) {
+    if (auto idx = schema.index_of(r.attr)) {
+      pred[*idx] = pred[*idx].intersect(r.range);
+      constrained = true;
+    }
+  }
+  if (!constrained) {
+    SubTable copy(st.schema_ptr(), st.id());
+    auto bytes = st.bytes();
+    copy.adopt_bytes({bytes.begin(), bytes.end()});
+    copy.set_bounds(st.bounds());
+    return copy;
+  }
+  SubTable out(st.schema_ptr(), st.id());
+  for (std::size_t r = 0; r < st.num_rows(); ++r) {
+    if (st.row_in(r, pred)) {
+      out.append_row({st.row(r), st.record_size()});
+    }
+  }
+  out.compute_bounds();
+  return out;
+}
+
 }  // namespace orv

@@ -42,6 +42,13 @@ struct AttrRange {
   Interval range;
 };
 
+/// Applies a record-level range predicate to a sub-table, returning the
+/// surviving rows (same schema and id) with their bounds. Ranges on
+/// attributes the sub-table lacks are ignored; with none left, the result
+/// is a copy that keeps the input's bounds. BDS, QES and the reference
+/// join all filter through this one function.
+SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges);
+
 class MetaDataService {
  public:
   MetaDataService() = default;

@@ -338,8 +338,7 @@ sim::Task<> gh_storage(GhShared& sh, std::size_t node, sim::Latch& done) {
       auto st = co_await queue.recv();
       if (!st) break;
       if (!s.query.ranges.empty()) {
-        const SubTable filtered =
-            filter_rows(**st, (*st)->schema(), s.query.ranges);
+        const SubTable filtered = filter_rows(**st, s.query.ranges);
         co_await part.add_subtable(filtered);
       } else {
         co_await part.add_subtable(**st);
@@ -395,8 +394,7 @@ sim::Task<> gh_repartition(GhShared& sh, std::size_t node,
       auto st = co_await produce_with_retry(
           s, n, cm.id, obs::TraceContext{s.life.trace_id, parent});
       if (!s.query.ranges.empty()) {
-        const SubTable filtered =
-            filter_rows(*st, st->schema(), s.query.ranges);
+        const SubTable filtered = filter_rows(*st, s.query.ranges);
         co_await part.add_lost_rows(filtered, prev);
       } else {
         co_await part.add_lost_rows(*st, prev);

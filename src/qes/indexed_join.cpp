@@ -117,8 +117,7 @@ sim::Task<std::vector<std::shared_ptr<const SubTable>>> ij_bds_fetch(
   }
   for (auto& st : tables) {
     if (select && pushed == nullptr) {
-      st = std::make_shared<const SubTable>(
-          filter_rows(*st, st->schema(), sh.query.ranges));
+      st = std::make_shared<const SubTable>(filter_rows(*st, sh.query.ranges));
     }
     sh.node_work[node].bytes += static_cast<double>(st->size_bytes());
   }
@@ -394,7 +393,7 @@ sim::Task<bool> ij_join_pair(IjShared& sh, std::size_t node,
                  SubTable(sh.result_schema, SubTableId{0, out_seq++}),
                  [ht, right, side = &sh.probe_side, filter](SubTable& out) {
                    const JoinStats s = ht->probe(*right, *side, out);
-                   if (filter) out = filter_rows(out, out.schema(), *filter);
+                   if (filter) out = filter_rows(out, *filter);
                    return s;
                  });
   sh.jobs.poll();

@@ -81,33 +81,6 @@ void QueryLifecycle::fail() {
   if (ctx) ctx->tracer.end_orphaned(span);
 }
 
-SubTable filter_rows(const SubTable& st, const Schema& schema,
-                     const std::vector<AttrRange>& ranges) {
-  Rect pred = Rect::unbounded(schema.num_attrs());
-  bool constrained = false;
-  for (const auto& r : ranges) {
-    if (auto idx = schema.index_of(r.attr)) {
-      pred[*idx] = pred[*idx].intersect(r.range);
-      constrained = true;
-    }
-  }
-  if (!constrained) {
-    SubTable copy(st.schema_ptr(), st.id());
-    auto bytes = st.bytes();
-    copy.adopt_bytes({bytes.begin(), bytes.end()});
-    copy.set_bounds(st.bounds());
-    return copy;
-  }
-  SubTable out(st.schema_ptr(), st.id());
-  for (std::size_t r = 0; r < st.num_rows(); ++r) {
-    if (st.row_in(r, pred)) {
-      out.append_row({st.row(r), st.record_size()});
-    }
-  }
-  out.compute_bounds();
-  return out;
-}
-
 ReferenceResult reference_join(
     const MetaDataService& meta,
     const std::vector<std::shared_ptr<ChunkStore>>& stores,
@@ -117,7 +90,7 @@ ReferenceResult reference_join(
     for (const auto& cm : meta.chunks(table)) {
       const auto bytes = stores.at(cm.location.storage_node)->read(cm.location);
       SubTable st = extract_chunk(bytes);
-      SubTable filtered = filter_rows(st, st.schema(), query.ranges);
+      SubTable filtered = filter_rows(st, query.ranges);
       for (std::size_t r = 0; r < filtered.num_rows(); ++r) {
         all.append_row({filtered.row(r), filtered.record_size()});
       }
@@ -143,7 +116,7 @@ ReferenceResult nested_loop_reference(
     for (const auto& cm : meta.chunks(table)) {
       const auto bytes = stores.at(cm.location.storage_node)->read(cm.location);
       SubTable st = extract_chunk(bytes);
-      SubTable filtered = filter_rows(st, st.schema(), query.ranges);
+      SubTable filtered = filter_rows(st, query.ranges);
       for (std::size_t r = 0; r < filtered.num_rows(); ++r) {
         all.append_row({filtered.row(r), filtered.record_size()});
       }

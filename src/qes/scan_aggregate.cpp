@@ -51,7 +51,7 @@ sim::Task<> sa_storage(SaShared& sh, std::size_t node, sim::Latch& done) {
     const SubTable* rows = st.get();
     SubTable filtered(sh.schema, cm.id);
     if (!sh.query.ranges.empty()) {
-      filtered = filter_rows(*st, st->schema(), sh.query.ranges);
+      filtered = filter_rows(*st, sh.query.ranges);
       rows = &filtered;
     }
     co_await cpu.use(hw.gamma_aggregate * sh.options.cpu_work_factor *

@@ -229,6 +229,24 @@ TEST(BuiltHashTable, TableBytesIndependentOfRecordSize) {
   BuiltHashTable ht_narrow(mk(narrow, 1000), {"k"});
   BuiltHashTable ht_wide(mk(wide, 1000), {"k"});
   EXPECT_EQ(ht_narrow.table_bytes(), ht_wide.table_bytes());
+
+  // Nor do the keys: 40,000 distinct keys and 64 keys of 625 rows each
+  // hash very differently, yet both tables (past 1 MiB of structure) take
+  // the same bytes, so a cache can book a table from its row count before
+  // building it.
+  constexpr std::size_t kRows = 40000;
+  auto keyed = [&](int key_mod) {
+    auto st = std::make_shared<SubTable>(narrow, SubTableId{1, 0});
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const Value v[] = {Value(static_cast<int>(r) % key_mod)};
+      st->append_values(v);
+    }
+    return st;
+  };
+  BuiltHashTable distinct(keyed(static_cast<int>(kRows)), {"k"});
+  BuiltHashTable skewed(keyed(64), {"k"});
+  EXPECT_GT(distinct.table_bytes(), std::size_t{1} << 20);
+  EXPECT_EQ(distinct.table_bytes(), skewed.table_bytes());
 }
 
 TEST(JoinKey, ResolveUnknownAttributeThrows) {

@@ -1,7 +1,6 @@
 // Cache-conscious join kernel: RightCopyPlan layout planning, probe_range
 // boundary rows, long duplicate chains, and byte equality with
-// nested_loop_join with and without radix partitioning (identical bytes,
-// not just fingerprints).
+// nested_loop_join (identical bytes, not just fingerprints).
 
 #include <gtest/gtest.h>
 
@@ -113,24 +112,12 @@ void expect_same_bytes(const SubTable& a, const SubTable& b) {
             0);
 }
 
-/// Radix-partitioned even on tiny tables, with chunks and batches smaller
-/// than the test inputs.
-JoinKernelOptions tiny_radix() {
-  JoinKernelOptions o;
-  o.l2_bytes = 1;
-  o.probe_chunk = 3;
-  o.probe_batch = 2;
-  return o;
-}
-
 TEST(ProbeRange, EmptyRange) {
   ProbeFixture fx({1, 2, 3}, {1, 2, 3});
-  for (const auto& opt : {JoinKernelOptions{}, tiny_radix()}) {
-    const BuiltHashTable ht(fx.left, {"k"}, opt);
-    EXPECT_EQ(fx.probe(ht, 0, 0).num_rows(), 0u);
-    EXPECT_EQ(fx.probe(ht, 2, 2).num_rows(), 0u);
-    EXPECT_EQ(fx.probe(ht, 3, 3).num_rows(), 0u);  // begin == num_rows
-  }
+  const BuiltHashTable ht(fx.left, {"k"});
+  EXPECT_EQ(fx.probe(ht, 0, 0).num_rows(), 0u);
+  EXPECT_EQ(fx.probe(ht, 2, 2).num_rows(), 0u);
+  EXPECT_EQ(fx.probe(ht, 3, 3).num_rows(), 0u);  // begin == num_rows
 }
 
 TEST(ProbeRange, FullRangeEqualsProbe) {
@@ -155,7 +142,7 @@ TEST(ProbeRange, OutOfBoundsThrows) {
 }
 
 TEST(ProbeRange, ZeroAndOneRowRanges) {
-  // Probe scratch is sized by the range, not by probe_chunk: every empty
+  // Probe scratch is sized by the range, not by the chunk: every empty
   // and single-row range must still produce that row's matches, in order,
   // with the same stats as one full probe.
   Xoshiro256StarStar rng(5);
@@ -166,27 +153,25 @@ TEST(ProbeRange, ZeroAndOneRowRanges) {
   }
   ProbeFixture fx(lkeys, rkeys);
   const SubTable expected = fx.reference();
-  for (const auto& opt : {JoinKernelOptions{}, tiny_radix()}) {
-    const BuiltHashTable ht(fx.left, {"k"}, opt);
-    SubTable pieced(fx.result_schema, SubTableId{9, 0});
-    JoinStats total;
-    for (std::size_t r = 0; r <= fx.right.num_rows(); ++r) {
-      const JoinStats empty = ht.probe_range(fx.right, {"k"}, r, r, pieced);
-      EXPECT_EQ(empty.probe_tuples, 0u);
-      EXPECT_EQ(empty.result_tuples, 0u);
-      if (r == fx.right.num_rows()) break;
-      const JoinStats one = ht.probe_range(fx.right, {"k"}, r, r + 1, pieced);
-      EXPECT_EQ(one.probe_tuples, 1u);
-      total += one;
-    }
-    SubTable whole(fx.result_schema, SubTableId{9, 1});
-    const JoinStats full = ht.probe(fx.right, {"k"}, whole);
-    EXPECT_EQ(total.probe_tuples, full.probe_tuples);
-    EXPECT_EQ(total.result_tuples, full.result_tuples);
-    EXPECT_EQ(full.result_tuples, expected.num_rows());
-    expect_same_bytes(pieced, expected);
-    expect_same_bytes(whole, expected);
+  const BuiltHashTable ht(fx.left, {"k"});
+  SubTable pieced(fx.result_schema, SubTableId{9, 0});
+  JoinStats total;
+  for (std::size_t r = 0; r <= fx.right.num_rows(); ++r) {
+    const JoinStats empty = ht.probe_range(fx.right, {"k"}, r, r, pieced);
+    EXPECT_EQ(empty.probe_tuples, 0u);
+    EXPECT_EQ(empty.result_tuples, 0u);
+    if (r == fx.right.num_rows()) break;
+    const JoinStats one = ht.probe_range(fx.right, {"k"}, r, r + 1, pieced);
+    EXPECT_EQ(one.probe_tuples, 1u);
+    total += one;
   }
+  SubTable whole(fx.result_schema, SubTableId{9, 1});
+  const JoinStats full = ht.probe(fx.right, {"k"}, whole);
+  EXPECT_EQ(total.probe_tuples, full.probe_tuples);
+  EXPECT_EQ(total.result_tuples, full.result_tuples);
+  EXPECT_EQ(full.result_tuples, expected.num_rows());
+  expect_same_bytes(pieced, expected);
+  expect_same_bytes(whole, expected);
 }
 
 TEST(ProbeRange, DuplicateChainLongerThanBatch) {
@@ -195,8 +180,8 @@ TEST(ProbeRange, DuplicateChainLongerThanBatch) {
   std::vector<int> lkeys(40, 7);
   lkeys.push_back(8);
   ProbeFixture fx(lkeys, {7, 9, 7});
-  const BuiltHashTable tuned(fx.left, {"k"});
-  const SubTable a = fx.probe(tuned, 0, fx.right.num_rows());
+  const BuiltHashTable ht(fx.left, {"k"});
+  const SubTable a = fx.probe(ht, 0, fx.right.num_rows());
   EXPECT_EQ(a.num_rows(), 80u);
   expect_same_bytes(a, fx.reference());
   // Ascending left-row order within one probe row: attribute "a" carries
@@ -208,7 +193,8 @@ TEST(ProbeRange, DuplicateChainLongerThanBatch) {
 
 // --- equivalence with the nested-loop reference ----------------------------
 
-TEST(JoinKernel, BatchedAndRadixMatchNestedLoopBytes) {
+TEST(JoinKernel, MatchesNestedLoopBytes) {
+  // 5000 probe rows: the full probe crosses two chunk boundaries.
   Xoshiro256StarStar rng(123);
   std::vector<int> lkeys, rkeys;
   for (int i = 0; i < 5000; ++i) {
@@ -216,26 +202,12 @@ TEST(JoinKernel, BatchedAndRadixMatchNestedLoopBytes) {
     rkeys.push_back(static_cast<int>(rng.below(800)));
   }
   ProbeFixture fx(lkeys, rkeys);
-
-  JoinKernelOptions radix;  // force partitioning on a tiny table
-  radix.l2_bytes = 4 << 10;
-  radix.probe_chunk = 64;
-  radix.probe_batch = 4;
-  JoinKernelOptions batched;
-  batched.radix_build = false;
-
-  const BuiltHashTable ht_batched(fx.left, {"k"}, batched);
-  const BuiltHashTable ht_radix(fx.left, {"k"}, radix);
-  EXPECT_EQ(ht_batched.num_partitions(), 1u);
-  EXPECT_GT(ht_radix.num_partitions(), 1u);
-
+  const BuiltHashTable ht(fx.left, {"k"});
   const SubTable a = fx.reference();
-  const SubTable b = fx.probe(ht_batched, 0, fx.right.num_rows());
-  const SubTable c = fx.probe(ht_radix, 0, fx.right.num_rows());
+  const SubTable b = fx.probe(ht, 0, fx.right.num_rows());
   EXPECT_GT(a.num_rows(), 0u);
   expect_same_bytes(a, b);
-  expect_same_bytes(a, c);
-  EXPECT_EQ(a.unordered_fingerprint(), c.unordered_fingerprint());
+  EXPECT_EQ(a.unordered_fingerprint(), b.unordered_fingerprint());
 }
 
 TEST(JoinKernel, CompositeKeyMatchesNestedLoop) {
@@ -261,31 +233,25 @@ TEST(JoinKernel, CompositeKeyMatchesNestedLoop) {
       left->schema(), right.schema(),
       JoinKey::resolve(right.schema(), {"x", "y"}).attr_indices()));
 
-  JoinKernelOptions radix;
-  radix.l2_bytes = 2 << 10;
-  const BuiltHashTable ht_radix(left, {"x", "y"}, radix);
+  const BuiltHashTable ht(left, {"x", "y"});
   const SubTable a = nested_loop_join(*left, right, {"x", "y"}, {9, 0});
   SubTable b(rs, SubTableId{9, 1});
-  const JoinStats sb = ht_radix.probe(right, {"x", "y"}, b);
+  const JoinStats sb = ht.probe(right, {"x", "y"}, b);
   EXPECT_EQ(a.num_rows(), sb.result_tuples);
   EXPECT_GT(a.num_rows(), 0u);
   expect_same_bytes(a, b);
 }
 
-TEST(JoinKernel, MatchesTestHookAgreesAcrossLayouts) {
+TEST(JoinKernel, MatchesTestHookListsLeftRowsInOrder) {
   std::vector<int> lkeys{3, 1, 3, 2, 3};
   auto left = make_keyed(left_schema(), lkeys);
   auto right = make_keyed(
-      Schema::make({{"k", AttrType::Int32}, {"b", AttrType::Float32}}), {3});
-  JoinKernelOptions radix;
-  radix.l2_bytes = 1;  // tiny threshold: even a 5-row table radix-partitions
-  const BuiltHashTable plain(left, {"k"});
-  const BuiltHashTable parts(left, {"k"}, radix);
+      Schema::make({{"k", AttrType::Int32}, {"b", AttrType::Float32}}),
+      {3, 4});
+  const BuiltHashTable ht(left, {"k"});
   const JoinKey rkey = JoinKey::resolve(right->schema(), {"k"});
-  const auto m1 = plain.matches(*right, rkey, 0);
-  const auto m2 = parts.matches(*right, rkey, 0);
-  EXPECT_EQ(m1, (std::vector<std::uint32_t>{0, 2, 4}));
-  EXPECT_EQ(m1, m2);
+  EXPECT_EQ(ht.matches(*right, rkey, 0), (std::vector<std::uint32_t>{0, 2, 4}));
+  EXPECT_TRUE(ht.matches(*right, rkey, 1).empty());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Key-range filter in BuiltHashTable::probe_range: probe rows outside the
 // build side's per-lane key range are dropped before hashing. Every case
 // compares the probe output byte-for-byte with nested_loop_join, over full
-// and partial probe ranges, with and without radix partitioning, and checks
-// that filtered rows still count as probed.
+// and partial probe ranges, and checks that filtered rows still count as
+// probed.
 
 #include <gtest/gtest.h>
 
@@ -40,26 +40,12 @@ void expect_same_bytes(const SubTable& a, const SubTable& b) {
             0);
 }
 
-JoinKernelOptions unpartitioned() {
-  JoinKernelOptions o;
-  o.radix_build = false;
-  return o;
-}
-
-/// Radix-partitioned even on tiny tables, with chunks and batches smaller
-/// than the test inputs.
-JoinKernelOptions tiny_radix() {
-  JoinKernelOptions o;
-  o.l2_bytes = 1;
-  o.probe_chunk = 3;
-  o.probe_batch = 2;
-  return o;
-}
-
-/// Probes `right` against `left` in slices of every width in {1, 2, 5, all}
-/// under both table layouts; each concatenation of slices must equal the
-/// nested-loop join, and each slice must report its full length as probed.
-/// Returns the reference result.
+/// Probes `right` against `left` in slices of every width in {1, 2, 5, 2047,
+/// 2049, 4500, all}; each concatenation of slices must equal the nested-loop
+/// join, and each slice must report its full length as probed. The probe
+/// kernel works in chunks of 2048 rows from each slice's first row, so on
+/// inputs past 2 x 2048 rows the wide slices begin and end mid-chunk and
+/// cross chunk boundaries inside one call. Returns the reference result.
 SubTable expect_filter_matches_reference(
     const SubTable& left, const SubTable& right,
     const std::vector<std::string>& keys) {
@@ -69,23 +55,21 @@ SubTable expect_filter_matches_reference(
       left.schema(), right.schema(),
       JoinKey::resolve(right.schema(), keys).attr_indices()));
   const std::size_t n = right.num_rows();
-  for (const auto& opt : {unpartitioned(), tiny_radix()}) {
-    const BuiltHashTable ht(lp, keys, opt);
-    EXPECT_EQ(ht.num_partitions() > 1, opt.radix_build);
-    for (std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{5},
-                              std::max<std::size_t>(n, 1)}) {
-      SubTable pieced(rs, SubTableId{9, 1});
-      JoinStats total;
-      for (std::size_t b = 0; b < n; b += width) {
-        const std::size_t e = std::min(n, b + width);
-        const JoinStats s = ht.probe_range(right, keys, b, e, pieced);
-        EXPECT_EQ(s.probe_tuples, e - b);
-        total += s;
-      }
-      EXPECT_EQ(total.probe_tuples, n);
-      EXPECT_EQ(total.result_tuples, expected.num_rows());
-      expect_same_bytes(pieced, expected);
+  const BuiltHashTable ht(lp, keys);
+  for (std::size_t width :
+       {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{2047},
+        std::size_t{2049}, std::size_t{4500}, std::max<std::size_t>(n, 1)}) {
+    SubTable pieced(rs, SubTableId{9, 1});
+    JoinStats total;
+    for (std::size_t b = 0; b < n; b += width) {
+      const std::size_t e = std::min(n, b + width);
+      const JoinStats s = ht.probe_range(right, keys, b, e, pieced);
+      EXPECT_EQ(s.probe_tuples, e - b);
+      total += s;
     }
+    EXPECT_EQ(total.probe_tuples, n);
+    EXPECT_EQ(total.result_tuples, expected.num_rows());
+    expect_same_bytes(pieced, expected);
   }
   return expected;
 }
@@ -213,14 +197,12 @@ TEST(KeyRangeFilter, AllRowsFilteredStillCountAsProbed) {
   auto rs = std::make_shared<const Schema>(Schema::join_result(
       left.schema(), right.schema(),
       JoinKey::resolve(right.schema(), {"k"}).attr_indices()));
-  for (const auto& opt : {unpartitioned(), tiny_radix()}) {
-    const BuiltHashTable ht(lp, {"k"}, opt);
-    SubTable out(rs, SubTableId{9, 0});
-    const JoinStats s = ht.probe_range(right, {"k"}, 10, 90, out);
-    EXPECT_EQ(s.probe_tuples, 80u);
-    EXPECT_EQ(s.result_tuples, 0u);
-    EXPECT_EQ(out.num_rows(), 0u);
-  }
+  const BuiltHashTable ht(lp, {"k"});
+  SubTable out(rs, SubTableId{9, 0});
+  const JoinStats s = ht.probe_range(right, {"k"}, 10, 90, out);
+  EXPECT_EQ(s.probe_tuples, 80u);
+  EXPECT_EQ(s.result_tuples, 0u);
+  EXPECT_EQ(out.num_rows(), 0u);
 }
 
 TEST(KeyRangeFilter, ProbeRowsOnMinAndMaxAreKept) {
@@ -277,6 +259,30 @@ TEST(KeyRangeFilter, DuplicateKeysOutgrowTheMatchBuffer) {
   const SubTable right = probe_side(AttrType::Int32, {5, 4, 5, 9, 5, 10});
   EXPECT_EQ(expect_filter_matches_reference(left, right, {"k"}).num_rows(),
             151u);
+}
+
+TEST(KeyRangeFilter, ProbeSpanningSeveralChunks) {
+  // 5000 probe rows, more than two 2048-row chunks. The first 4096 rows mix
+  // keys below, inside and above the build range [0, 199] and never hit the
+  // hot key 150; from row 4096 on, every other row is 150, which has 8 build
+  // rows. A full-range probe's third chunk then holds more candidates than
+  // the match buffer's initial 2048 entries, so the buffer grows only after
+  // two chunks have been emitted.
+  std::vector<Value> lk;
+  for (int k = 0; k < 200; ++k) lk.push_back(k);
+  for (int i = 0; i < 7; ++i) lk.push_back(150);
+  Xoshiro256StarStar rng(77);
+  std::vector<Value> rk;
+  for (int i = 0; i < 5000; ++i) {
+    int k = static_cast<int>(rng.below(300)) - 50;
+    if (k == 150) k = 151;
+    if (i >= 4096 && i % 2 == 0) k = 150;
+    rk.push_back(k);
+  }
+  const SubTable left = build_side(AttrType::Int32, lk);
+  const SubTable right = probe_side(AttrType::Int32, rk);
+  const SubTable joined = expect_filter_matches_reference(left, right, {"k"});
+  EXPECT_GT(joined.num_rows(), 452u * 8u);
 }
 
 }  // namespace
