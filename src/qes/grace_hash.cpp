@@ -31,6 +31,7 @@
 #include "obs/obs.hpp"
 #include "qes/offload.hpp"
 #include "qes/qes.hpp"
+#include "qes/retry.hpp"
 #include "qes/sampler.hpp"
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
@@ -39,6 +40,10 @@
 namespace orv {
 
 namespace {
+
+/// Capacity of each compute node's h1 batch channel: how many batches a
+/// receiver may have queued before senders to it block.
+constexpr std::size_t kChannelCapacity = 4;
 
 /// A batch of packed records of one table, routed to one compute node.
 /// `trace` carries the sender's span across the node boundary: the
@@ -156,31 +161,26 @@ class Partitioner {
         dead_(std::move(dead)),
         buffers_(sh.to_compute.size()) {}
 
-  sim::Task<> add_subtable(const SubTable& st) {
-    const std::size_t n_dest = buffers_.size();
-    for (std::size_t r = 0; r < st.num_rows(); ++r) {
-      const std::byte* row = st.row(r);
-      const std::size_t dest = chain_dest(key_, row, n_dest, dead_);
-      auto& buf = buffers_[dest];
-      buf.insert(buf.end(), row, row + record_size_);
-      if (buf.size() >= sh_.options.batch_bytes) {
-        co_await flush(dest);
-      }
+  /// Routes the rows of `chunk` that pass the query's selection. Recovery
+  /// rounds pass the previous round's dead set and re-send exactly the
+  /// rows whose copy was lost, i.e. rows whose destination under
+  /// `prev_dead` has since died; rows whose previous destination survives
+  /// are skipped — their copy is still bucketed there, and re-sending
+  /// would duplicate them.
+  sim::Task<> add_subtable(const SubTable& chunk,
+                           const std::vector<char>* prev_dead = nullptr) {
+    std::optional<SubTable> filtered;
+    if (!sh_.query.ranges.empty()) {
+      filtered = filter_rows(chunk, sh_.query.ranges);
     }
-  }
-
-  /// Recovery rounds only: re-send exactly the rows whose copy was lost,
-  /// i.e. rows whose destination under `prev_dead` has since died. Rows
-  /// whose previous destination survives are skipped — their copy is still
-  /// bucketed there, and re-sending would duplicate them.
-  sim::Task<> add_lost_rows(const SubTable& st,
-                            const std::vector<char>& prev_dead) {
+    const SubTable& st = filtered ? *filtered : chunk;
     const std::size_t n_dest = buffers_.size();
     for (std::size_t r = 0; r < st.num_rows(); ++r) {
       const std::byte* row = st.row(r);
-      const std::size_t prev = chain_dest(key_, row, n_dest, prev_dead);
-      if (!dead_[prev]) continue;
-      ++sh_.rows_repartitioned;
+      if (prev_dead != nullptr) {
+        if (!dead_[chain_dest(key_, row, n_dest, *prev_dead)]) continue;
+        ++sh_.rows_repartitioned;
+      }
       const std::size_t dest = chain_dest(key_, row, n_dest, dead_);
       auto& buf = buffers_[dest];
       buf.insert(buf.end(), row, row + record_size_);
@@ -267,34 +267,6 @@ class Partitioner {
   std::vector<std::vector<std::byte>> buffers_;
 };
 
-/// BDS produce with the same timeout/backoff retry the Indexed Join's
-/// fetches get: transient injected read errors retry; a permanently lost
-/// storage node surfaces as a clean FaultError.
-sim::Task<std::shared_ptr<const SubTable>> produce_with_retry(
-    GhShared& sh, std::size_t node, SubTableId id, obs::TraceContext rpc) {
-  auto* inj = fault::context();
-  const fault::RetryPolicy policy =
-      inj ? inj->plan().retry : fault::RetryPolicy{};
-  for (int attempt = 0;; ++attempt) {
-    if (attempt > 0) {
-      co_await sh.cluster.engine().sleep(policy.backoff(attempt));
-    }
-    try {
-      co_return co_await sh.bds.instance(node).produce(id, rpc);
-    } catch (const IoError& e) {
-      if (!inj) throw;  // genuine device error: not ours to mask
-      if (attempt + 1 >= policy.max_attempts) {
-        throw fault::FaultError("produce of " + id.to_string() +
-                                " failed after " +
-                                std::to_string(attempt + 1) +
-                                " attempts: " + e.what());
-      }
-      inj->note_retry();
-      ++sh.fetch_retries;
-    }
-  }
-}
-
 /// Reads a node's local chunks of one table into a small bounded queue, so
 /// disk reads pipeline behind partitioning/sending (read-ahead; this is
 /// what hides the chunk reads inside the model's Transfer term). The queue
@@ -304,9 +276,12 @@ sim::Task<> gh_reader(GhShared& sh, std::size_t node, TableId table,
                       sim::Channel<std::shared_ptr<const SubTable>>& out,
                       obs::TraceContext rpc) {
   try {
+    BdsInstance& bds = sh.bds.instance(node);
     for (const auto& cm : sh.meta.chunks(table)) {
       if (cm.location.storage_node != node) continue;
-      auto st = co_await produce_with_retry(sh, node, cm.id, rpc);
+      auto st = co_await qes_detail::read_with_retry(
+          sh.cluster.engine(), "produce", cm.id, sh.fetch_retries,
+          [&](int) { return bds.produce(cm.id, rpc); });
       co_await out.send(std::move(st));
     }
   } catch (...) {
@@ -337,12 +312,7 @@ sim::Task<> gh_storage(GhShared& sh, std::size_t node, sim::Latch& done) {
     while (true) {
       auto st = co_await queue.recv();
       if (!st) break;
-      if (!s.query.ranges.empty()) {
-        const SubTable filtered = filter_rows(**st, s.query.ranges);
-        co_await part.add_subtable(filtered);
-      } else {
-        co_await part.add_subtable(**st);
-      }
+      co_await part.add_subtable(**st);
     }
     co_await reader.join();
   };
@@ -389,16 +359,14 @@ sim::Task<> gh_repartition(GhShared& sh, std::size_t node,
   auto resend_table = [](GhShared& s, std::size_t n, TableId table,
                          Partitioner& part, const std::vector<char>& prev,
                          obs::SpanId parent) -> sim::Task<> {
+    BdsInstance& bds = s.bds.instance(n);
+    const obs::TraceContext rpc{s.life.trace_id, parent};
     for (const auto& cm : s.meta.chunks(table)) {
       if (cm.location.storage_node != n) continue;
-      auto st = co_await produce_with_retry(
-          s, n, cm.id, obs::TraceContext{s.life.trace_id, parent});
-      if (!s.query.ranges.empty()) {
-        const SubTable filtered = filter_rows(*st, s.query.ranges);
-        co_await part.add_lost_rows(filtered, prev);
-      } else {
-        co_await part.add_lost_rows(*st, prev);
-      }
+      auto st = co_await qes_detail::read_with_retry(
+          s.cluster.engine(), "produce", cm.id, s.fetch_retries,
+          [&](int) { return bds.produce(cm.id, rpc); });
+      co_await part.add_subtable(*st, &prev);
     }
   };
 
@@ -466,7 +434,7 @@ sim::Task<> gh_coordinator(GhShared& sh, sim::Latch& storage_done) {
     // Open the next round, then release the receivers into it.
     for (std::size_t j = 0; j < n_compute; ++j) {
       sh.to_compute[j] = std::make_unique<sim::Channel<Batch>>(
-          engine, sh.options.channel_capacity);
+          engine, kChannelCapacity);
     }
     sh.drain_latch = std::make_unique<sim::Latch>(engine, n_compute);
     sh.round_gate = std::make_unique<sim::Event>(engine);
@@ -774,7 +742,7 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
 
   for (std::size_t j = 0; j < cluster.num_compute(); ++j) {
     sh.to_compute.push_back(std::make_unique<sim::Channel<Batch>>(
-        engine, options.channel_capacity));
+        engine, kChannelCapacity));
   }
   sh.drain_latch =
       std::make_unique<sim::Latch>(engine, cluster.num_compute());

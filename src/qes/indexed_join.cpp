@@ -33,6 +33,7 @@
 #include "obs/obs.hpp"
 #include "qes/offload.hpp"
 #include "qes/qes.hpp"
+#include "qes/retry.hpp"
 #include "qes/sampler.hpp"
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
@@ -94,27 +95,20 @@ struct IjShared {
   JoinOffload jobs;
 };
 
-/// One BDS round trip for `ids` on behalf of `node`, with the query's
-/// selection applied the way the options ask: pushed down to the storage
-/// node (fewer bytes on the wire) or filtered on arrival. `raw` skips it —
-/// persistent-cache mode caches raw sub-tables and filters join outputs
-/// instead. `batched` takes the coalesced multi-chunk path (every id on
-/// one storage node). The kept bytes are booked as the node's fetch work.
+/// One BDS round trip for the run `ids` on behalf of `node`, with the
+/// query's selection applied the way the options ask: pushed down to the
+/// storage node (fewer bytes on the wire) or filtered on arrival. `raw`
+/// skips it — persistent-cache mode caches raw sub-tables and filters join
+/// outputs instead. The kept bytes are booked as the node's fetch work.
 sim::Task<std::vector<std::shared_ptr<const SubTable>>> ij_bds_fetch(
     IjShared& sh, std::size_t node, bool raw, std::vector<SubTableId> ids,
-    bool batched, obs::TraceContext rpc) {
+    obs::TraceContext rpc) {
   const bool select = !raw && !sh.query.ranges.empty();
   const std::vector<AttrRange>* pushed =
       select && sh.options.pushdown_selection ? &sh.query.ranges : nullptr;
   BdsInstance& bds = sh.bds.instance_for(ids.front());
-  std::vector<std::shared_ptr<const SubTable>> tables;
-  if (batched) {
-    tables = co_await bds.fetch_batch_to_compute(std::move(ids), node, pushed,
-                                                 rpc);
-  } else {
-    tables.push_back(
-        co_await bds.fetch_to_compute(ids.front(), node, pushed, rpc));
-  }
+  auto tables =
+      co_await bds.fetch_to_compute(std::move(ids), node, pushed, rpc);
   for (auto& st : tables) {
     if (select && pushed == nullptr) {
       st = std::make_shared<const SubTable>(filter_rows(*st, sh.query.ranges));
@@ -124,43 +118,27 @@ sim::Task<std::vector<std::shared_ptr<const SubTable>>> ij_bds_fetch(
   co_return tables;
 }
 
-/// One fetch from the owning BDS instance (ij_bds_fetch). Retryable I/O
-/// failures (injected read errors, RPC timeouts against a down storage
-/// node) back off exponentially and try again; exhausting the budget
-/// invalidates any stale cache entry for the id and surfaces a clean
-/// FaultError.
+/// One fetch from the owning BDS instance (ij_bds_fetch) under the shared
+/// retry loop. A failing attempt invalidates any cached copy of the id — a
+/// cached copy of a failing source is suspect — and retries are tagged on
+/// the fetch span.
 sim::Task<std::shared_ptr<const SubTable>> fetch_subtable(
     IjShared& sh, SubTableId id, std::size_t node, bool raw,
     CachingService& cache, obs::SpanId* fetch_span = nullptr) {
   ++sh.fetches;
   obs::StageScope stage(obs::context(), "ij.fetch", sh.node_spans[node]);
   if (fetch_span) *fetch_span = stage.id();
-  auto* inj = fault::context();
-  const fault::RetryPolicy policy =
-      inj ? inj->plan().retry : fault::RetryPolicy{};
-  for (int attempt = 0;; ++attempt) {
-    if (attempt > 0) {
-      co_await sh.cluster.engine().sleep(policy.backoff(attempt));
-    }
-    try {
-      if (attempt > 0) stage.tag("retry", static_cast<std::uint64_t>(attempt));
-      auto tables =
-          co_await ij_bds_fetch(sh, node, raw, std::vector<SubTableId>(1, id),
-                                false, {sh.life.trace_id, stage.id()});
-      co_return std::move(tables.front());
-    } catch (const IoError& e) {
-      cache.invalidate(id);  // a cached copy of a failing source is suspect
-      if (!inj) throw;       // genuine device error: not ours to mask
-      if (attempt + 1 >= policy.max_attempts) {
-        throw fault::FaultError("fetch of " + id.to_string() +
-                                " failed after " +
-                                std::to_string(attempt + 1) +
-                                " attempts: " + e.what());
-      }
-      inj->note_retry();
-      ++sh.fetch_retries;
-    }
-  }
+  auto tables = co_await qes_detail::read_with_retry(
+      sh.cluster.engine(), "fetch", id, sh.fetch_retries,
+      [&](int attempt) {
+        if (attempt > 0) {
+          stage.tag("retry", static_cast<std::uint64_t>(attempt));
+        }
+        return ij_bds_fetch(sh, node, raw, std::vector<SubTableId>(1, id),
+                            {sh.life.trace_id, stage.id()});
+      },
+      [&] { cache.invalidate(id); });
+  co_return std::move(tables.front());
 }
 
 /// Shared state between one node's prefetcher and its join loop.
@@ -263,7 +241,7 @@ sim::Task<> ij_prefetch_fetch(IjShared& sh, std::size_t node, bool raw,
     stage.tag("batch", static_cast<std::uint64_t>(batch.size()));
     ps.pair_fetch_span[pair_idx] = stage.id();
     sh.fetches += batch.size();
-    auto tables = co_await ij_bds_fetch(sh, node, raw, batch, true,
+    auto tables = co_await ij_bds_fetch(sh, node, raw, batch,
                                         {sh.life.trace_id, stage.id()});
     for (std::size_t i = 0; i < batch.size(); ++i) {
       cache.put_pinned(batch[i], std::move(tables[i]));

@@ -91,7 +91,6 @@ struct QesOptions {
   /// Target in-memory size of one bucket pair; 0 derives it from the
   /// cluster's memory size (buckets must fit in memory, Section 4.2).
   std::uint64_t bucket_pair_bytes = 0;
-  std::size_t channel_capacity = 4;
   /// Pipelined Grace Hash: double-buffer the on-disk bucket spills (write
   /// the batch for bucket k while partitioning k+1) and issue the next
   /// bucket's scratch read while the CPU joins the current one, so each
@@ -102,13 +101,13 @@ struct QesOptions {
   /// pipelined cost models iff this holds.
   bool pipelined() const { return prefetch_lookahead > 0 || gh_double_buffer; }
 
-  /// QPS integration: consult the online calibrator's learned hardware
-  /// parameters when costing plans (the harness feeds the calibrator one
-  /// observation per executed query via cost/calibration.hpp's
-  /// make_observation). Default off — the paper's prior-parameter plans
-  /// and every committed baseline stay byte-identical. The pointer is not
-  /// owned and must outlive the planner calls that read it.
-  bool use_calibration = false;
+  /// QPS integration: when set, the planner costs plans with the online
+  /// calibrator's learned hardware parameters (the harness feeds the
+  /// calibrator one observation per executed query via
+  /// cost/calibration.hpp's make_observation). Default null — the paper's
+  /// prior-parameter plans and every committed baseline stay
+  /// byte-identical. Not owned; must outlive the planner calls that read
+  /// it.
   obs::Calibrator* calibrator = nullptr;
 
   /// Observed resource busy fractions at plan time (concurrent workloads):
@@ -118,14 +117,6 @@ struct QesOptions {
   /// committed baseline are untouched. Not owned; must outlive the plan
   /// call.
   const ContentionFactors* contention = nullptr;
-
-  /// Workload-driver integration: let the live monitor's per-node health
-  /// scores derate the admission controller's effective concurrency (sick
-  /// nodes shrink capacity instead of collecting queries that will
-  /// straggle). Default off — admission behaviour and every committed
-  /// baseline are byte-identical. Read by workload::run_workload, which
-  /// owns the NodeHealthTracker the controller consults.
-  bool health_aware_admission = false;
 
   std::uint64_t seed = 0;  // for randomized ablation strategies
 

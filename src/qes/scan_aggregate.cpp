@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "qes/retry.hpp"
 #include "sim/channel.hpp"
 #include "sim/event.hpp"
 #include "sim/engine.hpp"
@@ -25,6 +26,8 @@ struct SaShared {
 
   /// One partial aggregator per storage node, merged by the coordinator.
   std::vector<std::unique_ptr<GroupByAggregator>> partials;
+
+  std::uint64_t fetch_retries = 0;
 };
 
 /// Storage-node QES: stream local chunks, filter, fold.
@@ -32,6 +35,7 @@ sim::Task<> sa_storage(SaShared& sh, std::size_t node, sim::Latch& done) {
   const auto& hw = sh.cluster.spec().hw;
   auto& cpu = sh.cluster.storage_cpu(node);
   GroupByAggregator& agg = *sh.partials[node];
+  BdsInstance& bds = sh.bds.instance(node);
 
   for (const auto& cm : sh.meta.chunks(sh.query.table)) {
     if (cm.location.storage_node != node) continue;
@@ -47,7 +51,9 @@ sim::Task<> sa_storage(SaShared& sh, std::size_t node, sim::Latch& done) {
     }
     if (prunable) continue;
 
-    auto st = co_await sh.bds.instance(node).produce(cm.id);
+    auto st = co_await qes_detail::read_with_retry(
+        sh.cluster.engine(), "produce", cm.id, sh.fetch_retries,
+        [&](int) { return bds.produce(cm.id); });
     const SubTable* rows = st.get();
     SubTable filtered(sh.schema, cm.id);
     if (!sh.query.ranges.empty()) {
@@ -116,6 +122,8 @@ QesResult run_distributed_aggregate(Cluster& cluster, BdsService& bds,
   result.elapsed = engine.now() - start;
   result.result_tuples = merged.num_groups();
   result.network_bytes = cluster.network_bytes() - net0;
+  result.fetch_retries = sh.fetch_retries;
+  result.degraded = sh.fetch_retries > 0;
   SubTable table = merged.finish();
   result.result_fingerprint = table.unordered_fingerprint();
   if (out != nullptr) *out = std::move(table);

@@ -67,7 +67,7 @@ PlanDecision QueryPlanner::plan(const ConnectivityStats& data,
   d.gh = plan_gh_cost(d.params, qes);
   d.chosen = d.ij.total() <= d.gh.total() ? Algorithm::IndexedJoin
                                           : Algorithm::GraceHash;
-  if (qes != nullptr && qes->use_calibration && qes->calibrator != nullptr) {
+  if (qes != nullptr && qes->calibrator != nullptr) {
     // Re-plan with the calibrator's learned hardware parameters; the
     // spec-sheet plan is kept as the prior so validation can report the
     // pre/post error ratio.

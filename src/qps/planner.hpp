@@ -24,7 +24,7 @@ struct PlanDecision {
   /// True when the pipelined (overlapped fetch/compute) models were used.
   bool pipelined = false;
 
-  /// Set when QesOptions::use_calibration replaced the spec-sheet
+  /// Set when QesOptions::calibrator replaced the spec-sheet
   /// parameters with the calibrator's learned ones: `params`/`ij`/`gh`
   /// then hold the calibrated plan, and the prior (uncalibrated) plan is
   /// kept here so validation can report the before/after error ratio.

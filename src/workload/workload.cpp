@@ -132,7 +132,7 @@ std::unique_ptr<MonitorRig> make_monitor_rig(Cluster& cluster,
     opt.enabled = true;
     if (opt.dash_path.empty()) opt.dash_path = path;
   }
-  if (spec.base_options.health_aware_admission) opt.enabled = true;
+  if (spec.health_aware_admission) opt.enabled = true;
   if (!opt.enabled) return nullptr;
 
   auto rig = std::make_unique<MonitorRig>();
@@ -576,7 +576,7 @@ WorkloadResult run_workload(Cluster& cluster, BdsService& bds,
   AdmissionController admission(engine, spec.admission);
   ContentionMonitor monitor(cluster);
   std::unique_ptr<MonitorRig> rig = make_monitor_rig(cluster, spec);
-  if (rig != nullptr && spec.base_options.health_aware_admission) {
+  if (rig != nullptr && spec.health_aware_admission) {
     admission.set_capacity_provider(
         [h = rig->health.get()] { return h->capacity_fraction(); });
   }

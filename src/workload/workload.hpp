@@ -89,9 +89,14 @@ struct WorkloadSpec {
   /// cluster at submission (cost/cost_model.hpp's apply_contention).
   bool contention_aware = false;
   /// Live monitor / flight recorder / dashboard (ORV_DASH and ORV_FLIGHT
-  /// enable this implicitly). base_options.health_aware_admission also
-  /// forces it on: the admission controller needs the health tracker.
+  /// enable this implicitly). health_aware_admission also forces it on:
+  /// the admission controller needs the health tracker.
   WorkloadMonitorOptions monitor;
+  /// Let the live monitor's per-node health scores derate the admission
+  /// controller's effective concurrency (sick nodes shrink capacity
+  /// instead of collecting queries that will straggle). Default off —
+  /// admission behaviour and every committed baseline are byte-identical.
+  bool health_aware_admission = false;
 };
 
 /// SLO accounting for one submitted query.

@@ -1,5 +1,6 @@
 // Distributed scan-aggregate QES: results equal local aggregation, network
-// traffic is group-proportional, pruning works, framework integration.
+// traffic is group-proportional, pruning works, framework integration,
+// transient read errors are retried.
 
 #include "qes/scan_aggregate.hpp"
 
@@ -8,6 +9,7 @@
 #include "datagen/generator.hpp"
 #include "dds/distributed.hpp"
 #include "dds/local_executor.hpp"
+#include "fault/fault.hpp"
 #include "sim/engine.hpp"
 
 namespace orv {
@@ -128,6 +130,32 @@ TEST(ScanAggregate, HavingOverScanAggregate) {
   const auto expected = local.execute(*view);
   EXPECT_EQ(out.num_rows(), expected.num_rows());
   EXPECT_EQ(out.unordered_fingerprint(), expected.unordered_fingerprint());
+}
+
+TEST(ScanAggregate, TransientReadErrorsAreRetried) {
+  AggregateQuery q;
+  q.table = 1;
+  q.group_by = {"z"};
+  q.aggs = {AggSpec{AggSpec::Fn::Avg, "oilp", "a"},
+            AggSpec{AggSpec::Fn::Count, "", "n"}};
+  Rig clean;
+  const auto expected =
+      run_distributed_aggregate(*clean.cluster, *clean.bds, clean.ds.meta, q);
+
+  Rig rig;
+  fault::FaultPlan plan;
+  plan.seed = 7;
+  plan.chunk_read_error_prob = 0.3;
+  fault::FaultInjector inj(rig.engine, plan);
+  fault::ScopedInjector scoped(inj);
+  const auto res =
+      run_distributed_aggregate(*rig.cluster, *rig.bds, rig.ds.meta, q);
+  EXPECT_GE(inj.stats().io_errors_injected, 1u);
+  EXPECT_EQ(res.fetch_retries, inj.stats().io_errors_injected);
+  EXPECT_TRUE(res.degraded);
+  EXPECT_EQ(res.result_tuples, expected.result_tuples);
+  EXPECT_EQ(res.result_fingerprint, expected.result_fingerprint);
+  EXPECT_GT(res.elapsed, expected.elapsed);  // backoff costs time
 }
 
 TEST(ScanAggregate, MoreStorageNodesGoFaster) {
