@@ -73,8 +73,17 @@ int main() {
               run.decision.predicted_seconds(), run.qes.elapsed);
 
   // --- 7. Parallel local execution (same results, multithreaded). -------
+  const SubTable sequential = fw.query("SELECT * FROM V1");
   fw.enable_parallel_local_execution();
   const SubTable again = fw.query("SELECT * FROM V1");
+  if (again.num_rows() != sequential.num_rows() ||
+      again.unordered_fingerprint() != sequential.unordered_fingerprint()) {
+    std::fprintf(stderr,
+                 "Parallel local executor: %zu rows differ from the "
+                 "sequential %zu rows\n",
+                 again.num_rows(), sequential.num_rows());
+    return 1;
+  }
   std::printf("\nParallel local executor: %zu rows (identical result)\n",
               again.num_rows());
   return 0;

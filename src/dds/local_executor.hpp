@@ -2,10 +2,13 @@
 
 // Local (single-process) view executor: runs any ViewDef tree directly
 // against the chunk stores, with chunk-level pruning through the MetaData
-// Service's R-trees for selections over base tables. This is the
-// ingestion-free query path a scientist uses on a workstation; the
-// simulated cluster path (dds/distributed.hpp) handles the join-view DDS
-// at cluster scale.
+// Service's R-trees for selections over base tables. Joins run over the
+// page-level join index (paper Section 4.1): one job per connected
+// component of the sub-table connectivity graph, each building a hash
+// table per left sub-table and probing it with that sub-table's
+// neighbours. This is the ingestion-free query path a scientist uses on a
+// workstation; the simulated cluster path (dds/distributed.hpp) handles
+// the join-view DDS at cluster scale.
 
 #include <memory>
 #include <vector>
@@ -25,9 +28,9 @@ SubTable sort_rows(const SubTable& in, const std::vector<SortKey>& keys,
 
 class LocalExecutor {
  public:
-  /// `pool` (optional, non-owning) parallelizes chunk scans and join
-  /// probes across threads; results are bit-identical to sequential
-  /// execution (work is partitioned in deterministic order).
+  /// `pool` (optional, non-owning) runs chunk scans and join components
+  /// across threads; results are bit-identical to sequential execution
+  /// (parts are concatenated in chunk or component order).
   LocalExecutor(const MetaDataService& meta,
                 std::vector<std::shared_ptr<ChunkStore>> stores,
                 ThreadPool* pool = nullptr)
@@ -43,7 +46,15 @@ class LocalExecutor {
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
  private:
-  SubTable execute_join(const ViewDef& view) const;
+  /// Joins `view`'s inputs, then applies `above`, the ranges of a Select
+  /// directly over the join: those on join attributes prune and filter
+  /// both inputs, the rest filter the joined rows.
+  SubTable execute_join(const ViewDef& view,
+                        const std::vector<AttrRange>& above) const;
+
+  /// One chunk read, extracted and filtered by `ranges`.
+  SubTable load_chunk(SubTableId id,
+                      const std::vector<AttrRange>& ranges) const;
 
   const MetaDataService& meta_;
   std::vector<std::shared_ptr<ChunkStore>> stores_;

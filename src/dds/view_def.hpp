@@ -96,6 +96,12 @@ struct JoinViewShape {
   std::vector<std::string> projection;    // empty = all columns
 };
 
+/// Peels Select layers off a base table: true when `v` is a base table
+/// under zero or more Selects, with the table in `*table` and the Selects'
+/// ranges appended to `*ranges`.
+bool match_selected_base(const ViewDef& v, TableId* table,
+                         std::vector<AttrRange>* ranges);
+
 /// Attempts to recognize `view` as a JoinViewShape; returns false if the
 /// tree has a different shape (local execution still works).
 bool match_join_view(const ViewDef& view, JoinViewShape* shape);

@@ -63,26 +63,49 @@ ConnectivityGraph ConnectivityGraph::build(
     const MetaDataService& meta, TableId left_table, TableId right_table,
     const std::vector<std::string>& join_attrs,
     const std::vector<AttrRange>& ranges) {
+  auto surviving = [&](TableId table) {
+    std::vector<const ChunkMeta*> out;
+    for (const auto& c : meta.chunks(table)) {
+      if (satisfies_ranges(c, ranges)) out.push_back(&c);
+    }
+    return out;
+  };
+  return pair_chunks(surviving(left_table), surviving(right_table),
+                     join_attrs);
+}
+
+ConnectivityGraph ConnectivityGraph::build(
+    const MetaDataService& meta, const std::vector<SubTableId>& left_ids,
+    const std::vector<SubTableId>& right_ids,
+    const std::vector<std::string>& join_attrs) {
+  auto lookup = [&](const std::vector<SubTableId>& ids) {
+    std::vector<const ChunkMeta*> out;
+    out.reserve(ids.size());
+    for (const SubTableId id : ids) out.push_back(&meta.chunk(id));
+    return out;
+  };
+  return pair_chunks(lookup(left_ids), lookup(right_ids), join_attrs);
+}
+
+ConnectivityGraph ConnectivityGraph::pair_chunks(
+    const std::vector<const ChunkMeta*>& left_chunks,
+    const std::vector<const ChunkMeta*>& right_chunks,
+    const std::vector<std::string>& join_attrs) {
   ORV_REQUIRE(!join_attrs.empty(), "join needs at least one attribute");
   obs::StageScope stage(obs::context(), "graph.build");
   ConnectivityGraph g;
 
-  // Prune right chunks by the range predicate once; index survivors by
-  // position for the R-tree pass below.
-  const auto& right_chunks = meta.chunks(right_table);
-
-  // Build an R-tree over the *join attributes only* of surviving right
-  // chunks; query it with each surviving left chunk's join-attr box.
+  // Build an R-tree over the *join attributes only* of the right chunks;
+  // query it with each left chunk's join-attr box.
   const std::size_t dims = join_attrs.size();
   RTree rtree(dims);
   {
     std::vector<std::pair<Rect, std::uint64_t>> entries;
     for (std::size_t i = 0; i < right_chunks.size(); ++i) {
-      if (!satisfies_ranges(right_chunks[i], ranges)) continue;
       Rect box(dims);
       for (std::size_t d = 0; d < dims; ++d) {
-        if (auto idx = right_chunks[i].schema->index_of(join_attrs[d])) {
-          box[d] = right_chunks[i].bounds[*idx];
+        if (auto idx = right_chunks[i]->schema->index_of(join_attrs[d])) {
+          box[d] = right_chunks[i]->bounds[*idx];
         }
       }
       entries.emplace_back(std::move(box), i);
@@ -90,21 +113,20 @@ ConnectivityGraph ConnectivityGraph::build(
     rtree.bulk_load(std::move(entries));
   }
 
-  for (const auto& lc : meta.chunks(left_table)) {
-    if (!satisfies_ranges(lc, ranges)) continue;
+  for (const ChunkMeta* lc : left_chunks) {
     Rect probe(dims);
     for (std::size_t d = 0; d < dims; ++d) {
-      if (auto idx = lc.schema->index_of(join_attrs[d])) {
-        probe[d] = lc.bounds[*idx];
+      if (auto idx = lc->schema->index_of(join_attrs[d])) {
+        probe[d] = lc->bounds[*idx];
       }
     }
     rtree.query(probe, [&](const Rect&, std::uint64_t ri) {
-      const auto& rc = right_chunks[ri];
+      const ChunkMeta& rc = *right_chunks[ri];
       // The R-tree matched on join attrs; re-check (exactly, including any
       // attribute missing on one side) to keep semantics independent of the
       // index structure.
-      if (overlap_on(lc, rc, join_attrs)) {
-        g.edges_.push_back(SubTablePair{lc.id, rc.id});
+      if (overlap_on(*lc, rc, join_attrs)) {
+        g.edges_.push_back(SubTablePair{lc->id, rc.id});
       }
     });
   }

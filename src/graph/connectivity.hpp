@@ -58,6 +58,13 @@ class ConnectivityGraph {
                                  const std::vector<std::string>& join_attrs,
                                  const std::vector<AttrRange>& ranges = {});
 
+  /// The same over sub-tables the caller has already chosen (e.g. each
+  /// side pruned by its own ranges with find_chunks).
+  static ConnectivityGraph build(const MetaDataService& meta,
+                                 const std::vector<SubTableId>& left_ids,
+                                 const std::vector<SubTableId>& right_ids,
+                                 const std::vector<std::string>& join_attrs);
+
   const std::vector<SubTablePair>& edges() const { return edges_; }
   std::size_t num_edges() const { return edges_.size(); }
 
@@ -73,6 +80,10 @@ class ConnectivityGraph {
   static ConnectivityGraph deserialize(ByteReader& r);
 
  private:
+  static ConnectivityGraph pair_chunks(
+      const std::vector<const ChunkMeta*>& left_chunks,
+      const std::vector<const ChunkMeta*>& right_chunks,
+      const std::vector<std::string>& join_attrs);
   void compute_components();
 
   std::vector<SubTablePair> edges_;

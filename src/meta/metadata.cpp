@@ -25,6 +25,7 @@ void MetaDataService::add_chunk(ChunkMeta meta) {
   ORV_REQUIRE(meta.schema != nullptr, "chunk needs a schema");
   ORV_REQUIRE(meta.bounds.dims() == meta.schema->num_attrs(),
               "chunk bounds dimension disagrees with its schema");
+  info.chunk_pos.try_emplace(meta.id.chunk, info.chunks.size());
   info.chunks.push_back(std::move(meta));
   indexes_dirty_ = true;
 }
@@ -63,10 +64,12 @@ const std::vector<ChunkMeta>& MetaDataService::chunks(TableId table) const {
 }
 
 const ChunkMeta& MetaDataService::chunk(SubTableId id) const {
-  for (const auto& c : chunks(id.table)) {
-    if (c.id == id) return c;
+  const auto& info = table_info(id.table);
+  const auto it = info.chunk_pos.find(id.chunk);
+  if (it == info.chunk_pos.end()) {
+    throw NotFound("no chunk " + id.to_string());
   }
-  throw NotFound("no chunk " + id.to_string());
+  return info.chunks[it->second];
 }
 
 std::uint64_t MetaDataService::table_bytes(TableId table) const {

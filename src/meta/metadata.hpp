@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chunkio/chunk_format.hpp"
@@ -69,6 +70,8 @@ class MetaDataService {
   /// All chunk metadata of a table, in chunk-id order.
   const std::vector<ChunkMeta>& chunks(TableId table) const;
 
+  /// One chunk's metadata, by hash lookup; with duplicate ids the first
+  /// one added wins. Throws NotFound.
   const ChunkMeta& chunk(SubTableId id) const;
 
   std::size_t num_chunks(TableId table) const { return chunks(table).size(); }
@@ -98,6 +101,8 @@ class MetaDataService {
     std::string name;
     SchemaPtr schema;
     std::vector<ChunkMeta> chunks;
+    // Chunk id -> position in `chunks` (positions survive reallocation).
+    std::unordered_map<ChunkId, std::size_t> chunk_pos;
     // Index caches are rebuilt on demand after chunk additions.
     mutable std::unique_ptr<RTree> index;  // over bounds, dims = schema attrs
   };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <unordered_set>
 
 namespace orv::obs {
@@ -94,9 +95,23 @@ class Walker {
       : dag_(dag), out_(out), eps_(eps) {}
 
   double walk(const SpanRecord& s, double t_hi) {
+    // s's closed children that end no earlier than it starts, in DAG
+    // order, and their positions sorted once by end, latest first.
+    std::vector<const SpanRecord*> kids;
+    for (SpanId cid : dag_.children_of(s.id)) {
+      const SpanRecord* c = dag_.find(cid);
+      if (c && c->closed() && c->end >= s.start - eps_) kids.push_back(c);
+    }
+    std::vector<std::size_t> by_end(kids.size());
+    std::iota(by_end.begin(), by_end.end(), std::size_t{0});
+    std::stable_sort(by_end.begin(), by_end.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return kids[a]->end > kids[b]->end;
+                     });
+    std::size_t next = 0;
     double t = t_hi;
     while (t > s.start + eps_) {
-      const SpanRecord* c = best_contributor(s, t);
+      const SpanRecord* c = best_contributor(s, t, kids, by_end, next);
       if (!c) break;
       if (t > c->end) attribute(s, c->end, t);
       used_.insert(c->id.value);
@@ -110,13 +125,36 @@ class Walker {
   }
 
  private:
+  bool used(const SpanRecord* c) const { return used_.count(c->id.value); }
+
   // Latest-ending closed, unused contributor whose end falls within
   // (s.start, t]: structural children plus the span's link parent (the
-  // remote sender that produced the message this span waited on).
-  const SpanRecord* best_contributor(const SpanRecord& s, double t) {
+  // remote sender that produced the message this span waited on). Ends
+  // within eps_ of each other tie, and ties go to the longer span, then
+  // the lower id, folding over the children in DAG order and the link
+  // parent last. Only the run of children whose ends chain down from the
+  // latest in steps of at most eps_ can win that fold, so only that run is
+  // folded. by_end[0, next) end after t, which only falls, or were used.
+  const SpanRecord* best_contributor(const SpanRecord& s, double t,
+                                     const std::vector<const SpanRecord*>& kids,
+                                     const std::vector<std::size_t>& by_end,
+                                     std::size_t& next) {
+    while (next < by_end.size() && (kids[by_end[next]]->end > t + eps_ ||
+                                    used(kids[by_end[next]]))) {
+      ++next;
+    }
+    run_.clear();
+    for (std::size_t i = next; i < by_end.size(); ++i) {
+      const SpanRecord* c = kids[by_end[i]];
+      if (used(c)) continue;
+      if (!run_.empty() && c->end < kids[run_.back()]->end - eps_) break;
+      run_.push_back(by_end[i]);
+    }
+    std::sort(run_.begin(), run_.end());
+
     const SpanRecord* best = nullptr;
     auto consider = [&](const SpanRecord* c) {
-      if (!c || !c->closed() || used_.count(c->id.value)) return;
+      if (!c || !c->closed() || used(c)) return;
       if (c->end > t + eps_ || c->end < s.start - eps_) return;
       if (!best || c->end > best->end + eps_ ||
           (std::abs(c->end - best->end) <= eps_ &&
@@ -126,7 +164,7 @@ class Walker {
         best = c;
       }
     };
-    for (SpanId cid : dag_.children_of(s.id)) consider(dag_.find(cid));
+    for (std::size_t pos : run_) consider(kids[pos]);
     if (s.link) consider(dag_.find(s.link));
     return best;
   }
@@ -147,6 +185,7 @@ class Walker {
   CriticalPath& out_;
   double eps_;
   std::unordered_set<std::uint32_t> used_;
+  std::vector<std::size_t> run_;  // best_contributor scratch
 };
 
 }  // namespace

@@ -66,8 +66,8 @@ INSTANTIATE_TEST_SUITE_P(PoolSizes, ParallelExec,
                          ::testing::Values(1, 2, 4, 8));
 
 TEST(ParallelExec, SmallJoinsFallBackToSequentialPath) {
-  // Under the 2048-row threshold the parallel executor uses the one-shot
-  // join; verify it still works with a pool attached.
+  // A tiny join (8 components of one pair each) with more threads than
+  // the work needs.
   DatasetSpec spec;
   spec.grid = {4, 4, 4};
   spec.part1 = {2, 2, 2};

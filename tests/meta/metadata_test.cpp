@@ -68,6 +68,30 @@ TEST(MetaData, ChunkAccounting) {
   EXPECT_THROW(meta.add_chunk(chunk_at(9, 0, 0, 0, 0, 1)), NotFound);
 }
 
+TEST(MetaData, ChunkLookupSurvivesGrowthAndKeepsFirstDuplicate) {
+  MetaDataService meta;
+  meta.register_table(1, "T1", schema4());
+  meta.register_table(2, "T2", schema4());
+  // Enough adds to reallocate the chunk list several times; ids out of
+  // insertion order so a position-based guess would miss.
+  for (ChunkId i = 0; i < 300; ++i) {
+    meta.add_chunk(chunk_at(1, 1000 - i, 16.0 * i, 0, 0, 15));
+    const ChunkMeta& first = meta.chunk({1, 1000});
+    EXPECT_EQ(first.bounds[0].lo, 0.0);
+    EXPECT_EQ(meta.chunk({1, 1000 - i}).bounds[0].lo, 16.0 * i);
+  }
+  for (ChunkId i = 0; i < 300; ++i) {
+    EXPECT_EQ(meta.chunk({1, 1000 - i}).id, (SubTableId{1, 1000 - i}));
+  }
+  // A duplicate id: the first chunk added under it stays the answer.
+  meta.add_chunk(chunk_at(1, 1000, 999, 0, 0, 15));
+  EXPECT_EQ(meta.chunk({1, 1000}).bounds[0].lo, 0.0);
+  // Missing ids throw, including an id present only in another table.
+  EXPECT_THROW(meta.chunk({1, 1}), NotFound);
+  EXPECT_THROW(meta.chunk({2, 1000}), NotFound);
+  EXPECT_THROW(meta.chunk({7, 1000}), NotFound);
+}
+
 TEST(MetaData, ChunkBoundsMustMatchSchema) {
   MetaDataService meta;
   meta.register_table(1, "T1", schema4());

@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/prng.hpp"
 #include "cost/cost_model.hpp"
 #include "datagen/generator.hpp"
 #include "graph/connectivity.hpp"
@@ -169,6 +173,92 @@ TEST(CriticalPath, LinkParentIsFollowedAcrossNodes) {
   bool saw_send = false;
   for (const auto& seg : cp.segments) saw_send |= seg.name == "gh.send";
   EXPECT_TRUE(saw_send);
+}
+
+// The backward walk as a plain rescan of every child at every step: the
+// specification the sorted-cursor walk in trace.cpp must reproduce.
+class RescanWalker {
+ public:
+  RescanWalker(const obs::TraceDag& dag, double eps) : dag_(dag), eps_(eps) {}
+
+  std::vector<obs::PathSegment> run(const obs::SpanRecord& root) {
+    walk(root, root.end);
+    std::reverse(segments_.begin(), segments_.end());
+    return segments_;
+  }
+
+ private:
+  double walk(const obs::SpanRecord& s, double t) {
+    while (t > s.start + eps_) {
+      const obs::SpanRecord* best = nullptr;
+      auto consider = [&](const obs::SpanRecord* c) {
+        if (!c || !c->closed() || used_.count(c->id.value)) return;
+        if (c->end > t + eps_ || c->end < s.start - eps_) return;
+        if (!best || c->end > best->end + eps_ ||
+            (std::abs(c->end - best->end) <= eps_ &&
+             (c->duration() > best->duration() + eps_ ||
+              (std::abs(c->duration() - best->duration()) <= eps_ &&
+               c->id.value < best->id.value)))) {
+          best = c;
+        }
+      };
+      for (obs::SpanId cid : dag_.children_of(s.id)) consider(dag_.find(cid));
+      if (s.link) consider(dag_.find(s.link));
+      if (!best) break;
+      if (t > best->end) segments_.push_back({s.id, s.name, {}, best->end, t});
+      used_.insert(best->id.value);
+      t = walk(*best, std::min(best->end, t));
+    }
+    if (t > s.start) {
+      segments_.push_back({s.id, s.name, {}, s.start, t});
+      t = s.start;
+    }
+    return t;
+  }
+
+  const obs::TraceDag& dag_;
+  double eps_;
+  std::set<std::uint32_t> used_;
+  std::vector<obs::PathSegment> segments_;
+};
+
+TEST(CriticalPath, SortedWalkMatchesRescanOnRandomNearTieDags) {
+  // Random span trees with ends on a coarse grid nudged by fractions of
+  // eps (ties, near-ties and chains of near-ties), zero-duration and open
+  // spans, and link parents anywhere in the trace.
+  Xoshiro256StarStar rng(7);
+  for (int trial = 0; trial < 300; ++trial) {
+    const double eps = 1e-9 * 8;  // the walk's eps for a root ending at 8
+    const std::uint32_t n = 2 + static_cast<std::uint32_t>(rng.below(60));
+    std::vector<obs::SpanRecord> spans = {mk(1, 0, "q", 0, 8)};
+    for (std::uint32_t id = 2; id <= n; ++id) {
+      const obs::SpanRecord& parent = spans[rng.below(spans.size())];
+      const double hi = parent.closed() ? parent.end : 8;
+      auto near_grid = [&](double lo) {
+        const double g = std::floor(rng.uniform(lo, hi + 1e-12) * 2) / 2;
+        return g + eps * (static_cast<double>(rng.below(5)) - 2) * 0.6;
+      };
+      double start = near_grid(parent.start);
+      double end = rng.below(6) == 0 ? start : near_grid(start);
+      if (end < start) std::swap(start, end);
+      if (rng.below(15) == 0) end = start - 1;  // open
+      const std::uint32_t link =
+          rng.below(4) == 0 ? 1 + static_cast<std::uint32_t>(rng.below(n)) : 0;
+      spans.push_back(mk(id, parent.id.value, "s", start, end, link));
+    }
+    // Children in an order unrelated to their ids.
+    std::reverse(spans.begin() + 1, spans.end());
+    const auto dag = obs::TraceDag::assemble(spans);
+    const auto got = obs::critical_path(dag, obs::SpanId{1});
+    const auto want = RescanWalker(dag, eps).run(*dag.find(obs::SpanId{1}));
+    ASSERT_EQ(got.segments.size(), want.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.segments[i].span.value, want[i].span.value)
+          << "trial " << trial;
+      EXPECT_EQ(got.segments[i].begin, want[i].begin) << "trial " << trial;
+      EXPECT_EQ(got.segments[i].end, want[i].end) << "trial " << trial;
+    }
+  }
 }
 
 TEST(TraceDag, MissingParentBecomesRootAndDuplicateIdsKeepLast) {
