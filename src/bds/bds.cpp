@@ -73,14 +73,12 @@ sim::Task<> BdsInstance::fault_gate(fault::FaultInjector& inj,
 }
 
 std::shared_ptr<const SubTable> BdsInstance::serve_chunk(
-    const ChunkMeta& cm, const std::vector<AttrRange>* ranges,
-    bool shipped) {
+    const ChunkMeta& cm, const RowFilter* filter, bool shipped) {
   const auto chunk_bytes = store_->read(cm.location);
-  auto st = std::make_shared<const SubTable>(extract_chunk(chunk_bytes));
-  ORV_CHECK(st->id() == cm.id, "extracted sub-table id mismatch");
-  if (ranges != nullptr && !ranges->empty()) {
-    st = std::make_shared<const SubTable>(filter_rows(*st, *ranges));
-  }
+  SubTable rows = extract_chunk(chunk_bytes);
+  ORV_CHECK(rows.id() == cm.id, "extracted sub-table id mismatch");
+  if (filter != nullptr) rows = filter_rows(std::move(rows), *filter);
+  auto st = std::make_shared<const SubTable>(std::move(rows));
   const std::uint64_t shipped_bytes = shipped ? st->size_bytes() : 0;
   ++stats_.subtables_served;
   stats_.chunk_bytes_read += cm.location.size;
@@ -110,7 +108,7 @@ sim::Task<std::shared_ptr<const SubTable>> BdsInstance::produce(
 sim::Task<std::vector<std::shared_ptr<const SubTable>>>
 BdsInstance::fetch_to_compute(std::vector<SubTableId> ids,
                               std::size_t compute_node,
-                              const std::vector<AttrRange>* ranges,
+                              const RowFilter* filter,
                               obs::TraceContext rpc) {
   ORV_REQUIRE(!ids.empty(), "fetch needs at least one id");
   // The run is contiguous iff its chunks, all in one file, cover exactly
@@ -148,7 +146,7 @@ BdsInstance::fetch_to_compute(std::vector<SubTableId> ids,
   out.reserve(ids.size());
   double shipped_bytes = 0;
   for (const ChunkMeta* cm : run) {
-    out.push_back(serve_chunk(*cm, ranges, /*shipped=*/true));
+    out.push_back(serve_chunk(*cm, filter, /*shipped=*/true));
     shipped_bytes += static_cast<double>(out.back()->size_bytes());
   }
   const sim::Time read_done = cluster_.storage_disk(node_).reserve_read(

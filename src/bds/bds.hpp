@@ -57,14 +57,13 @@ class BdsInstance {
   /// often), so the whole run is one disk reservation: one seek per run
   /// instead of per chunk. Read, extraction and ship are streamed, so the
   /// fetch completes when the most-loaded stage does. Results come back in
-  /// the order of `ids`. If `ranges` is non-null and non-empty, the
-  /// record-level selection is pushed down: rows are filtered *at the
+  /// the order of `ids`. If `filter` is non-null, the record-level
+  /// selection is pushed down: rows are filtered *at the
   /// storage node* and only survivors cross the network (an extension the
   /// extractor layer enables; the paper filters at the compute side).
   sim::Task<std::vector<std::shared_ptr<const SubTable>>> fetch_to_compute(
       std::vector<SubTableId> ids, std::size_t compute_node,
-      const std::vector<AttrRange>* ranges = nullptr,
-      obs::TraceContext rpc = {});
+      const RowFilter* filter = nullptr, obs::TraceContext rpc = {});
 
  private:
   Cluster& cluster_;
@@ -86,11 +85,11 @@ class BdsInstance {
                          std::size_t chunks, bool remote);
 
   /// The real work of serving one chunk: read, extract, check, optionally
-  /// filter (`ranges`), and count it in the stats. `shipped` books the
-  /// sub-table's bytes as sent to a compute node.
-  std::shared_ptr<const SubTable> serve_chunk(
-      const ChunkMeta& cm, const std::vector<AttrRange>* ranges,
-      bool shipped);
+  /// filter (`filter`, in place), and count it in the stats. `shipped`
+  /// books the sub-table's bytes as sent to a compute node.
+  std::shared_ptr<const SubTable> serve_chunk(const ChunkMeta& cm,
+                                              const RowFilter* filter,
+                                              bool shipped);
 };
 
 /// All BDS instances of a dataset's storage nodes.

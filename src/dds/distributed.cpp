@@ -127,7 +127,7 @@ DistributedRun DistributedDds::execute(const ViewDef& top_view,
       run.qes = run_distributed_aggregate(cluster_, bds_, meta_, scan_query,
                                           options, &table);
       if (!post_ranges.empty()) {
-        table = filter_rows(table, post_ranges);
+        table = filter_rows(std::move(table), post_ranges);
       }
       if (rows_out != nullptr) *rows_out = std::move(table);
       return run;
@@ -199,7 +199,7 @@ DistributedRun DistributedDds::execute(const ViewDef& top_view,
     if (rows_out != nullptr) {
       SubTable table = merged.finish();
       if (!post_ranges.empty()) {
-        table = filter_rows(table, post_ranges);
+        table = filter_rows(std::move(table), post_ranges);
       }
       *rows_out = std::move(table);
     }

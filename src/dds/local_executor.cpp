@@ -85,7 +85,7 @@ SubTable run_parts(ThreadPool* pool, std::size_t n, SchemaPtr schema,
 /// one sub-table.
 struct JoinInput {
   SchemaPtr schema;
-  std::vector<AttrRange> ranges;         // per-chunk filter (base table)
+  std::optional<RowFilter> filter;       // per-chunk filter (base table)
   std::vector<SubTableId> chunks;        // pruned chunks (base table)
   std::shared_ptr<const SubTable> rows;  // the whole input (otherwise)
 
@@ -97,21 +97,20 @@ struct JoinInput {
 }  // namespace
 
 SubTable LocalExecutor::load_chunk(SubTableId id,
-                                   const std::vector<AttrRange>& ranges) const {
+                                   const RowFilter& filter) const {
   const auto& cm = meta_.chunk(id);
   const auto bytes = stores_.at(cm.location.storage_node)->read(cm.location);
-  SubTable st = extract_chunk(bytes);
-  if (!ranges.empty()) st = filter_rows(st, ranges);
-  return st;
+  return filter_rows(extract_chunk(bytes), filter);
 }
 
 SubTable LocalExecutor::scan(TableId table,
                              const std::vector<AttrRange>& ranges) const {
   // Chunk-level pruning via the R-tree, then record-level filtering.
   const auto ids = meta_.find_chunks(table, ranges);
+  const RowFilter filter(meta_.table_schema(table), ranges);
   return run_parts(pool_, ids.size(), meta_.table_schema(table),
                    SubTableId{table, 0},
-                   [&](std::size_t i) { return load_chunk(ids[i], ranges); });
+                   [&](std::size_t i) { return load_chunk(ids[i], filter); });
 }
 
 SubTable LocalExecutor::execute_join(
@@ -135,10 +134,10 @@ SubTable LocalExecutor::execute_join(
       in.schema = meta_.table_schema(table);
       // On this thread: find_chunks builds the R-tree lazily.
       in.chunks = meta_.find_chunks(table, ranges);
-      in.ranges = std::move(ranges);
+      in.filter.emplace(in.schema, ranges);
     } else {
       SubTable rows = execute(side);
-      if (!pushed.empty()) rows = filter_rows(rows, pushed);
+      if (!pushed.empty()) rows = filter_rows(std::move(rows), pushed);
       in.schema = rows.schema_ptr();
       in.rows = std::make_shared<const SubTable>(std::move(rows));
     }
@@ -174,7 +173,7 @@ SubTable LocalExecutor::execute_join(
       *left.schema, *right.schema, side.key.attr_indices()));
   auto load = [&](const JoinInput& in, SubTableId id) {
     return in.rows ? in.rows
-                   : std::make_shared<const SubTable>(load_chunk(id, in.ranges));
+                   : std::make_shared<const SubTable>(load_chunk(id, *in.filter));
   };
 
   // One job per component: each of its chunks is read once; one table per
@@ -201,7 +200,7 @@ SubTable LocalExecutor::execute_join(
         }
         return part;
       });
-  return rest.empty() ? out : filter_rows(out, rest);
+  return rest.empty() ? out : filter_rows(std::move(out), rest);
 }
 
 SubTable LocalExecutor::execute(const ViewDef& view) const {
@@ -217,8 +216,7 @@ SubTable LocalExecutor::execute(const ViewDef& view) const {
       if (view.input->kind == ViewDef::Kind::Join) {
         return execute_join(*view.input, view.ranges);
       }
-      SubTable in = execute(*view.input);
-      return filter_rows(in, view.ranges);
+      return filter_rows(execute(*view.input), view.ranges);
     }
 
     case ViewDef::Kind::Project: {

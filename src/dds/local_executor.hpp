@@ -52,9 +52,8 @@ class LocalExecutor {
   SubTable execute_join(const ViewDef& view,
                         const std::vector<AttrRange>& above) const;
 
-  /// One chunk read, extracted and filtered by `ranges`.
-  SubTable load_chunk(SubTableId id,
-                      const std::vector<AttrRange>& ranges) const;
+  /// One chunk read, extracted and filtered in place by `filter`.
+  SubTable load_chunk(SubTableId id, const RowFilter& filter) const;
 
   const MetaDataService& meta_;
   std::vector<std::shared_ptr<ChunkStore>> stores_;

@@ -1,6 +1,7 @@
 #include "meta/metadata.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -196,31 +197,130 @@ MetaDataService MetaDataService::deserialize(ByteReader& r) {
   return svc;
 }
 
-SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges) {
-  const Schema& schema = st.schema();
-  Rect pred = Rect::unbounded(schema.num_attrs());
-  bool constrained = false;
+RowFilter::RowFilter(SchemaPtr schema) : schema_(std::move(schema)) {
+  ORV_REQUIRE(schema_ != nullptr, "RowFilter needs a schema");
+}
+
+RowFilter::RowFilter(SchemaPtr schema, const std::vector<AttrRange>& ranges)
+    : RowFilter(std::move(schema)) {
   for (const auto& r : ranges) {
-    if (auto idx = schema.index_of(r.attr)) {
-      pred[*idx] = pred[*idx].intersect(r.range);
-      constrained = true;
+    if (auto idx = schema_->index_of(r.attr)) constrain(*idx, r.range);
+  }
+}
+
+RowFilter RowFilter::join_result(
+    SchemaPtr result, const Schema& left, const Schema& right,
+    const std::vector<std::size_t>& right_key_indices,
+    const std::vector<AttrRange>& ranges) {
+  // Result position of each right attribute; keys have none.
+  constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> right_pos(right.num_attrs(), kDropped);
+  std::size_t next = left.num_attrs();
+  for (std::size_t i = 0; i < right.num_attrs(); ++i) {
+    const bool key = std::find(right_key_indices.begin(),
+                               right_key_indices.end(),
+                               i) != right_key_indices.end();
+    if (!key) right_pos[i] = next++;
+  }
+  RowFilter f(std::move(result));
+  ORV_REQUIRE(f.schema().num_attrs() == next,
+              "join result schema disagrees with its inputs");
+  for (const auto& r : ranges) {
+    if (auto idx = left.index_of(r.attr)) f.constrain(*idx, r.range);
+    if (auto idx = right.index_of(r.attr); idx && right_pos[*idx] != kDropped) {
+      f.constrain(right_pos[*idx], r.range);
     }
   }
-  if (!constrained) {
-    SubTable copy(st.schema_ptr(), st.id());
-    auto bytes = st.bytes();
-    copy.adopt_bytes({bytes.begin(), bytes.end()});
-    copy.set_bounds(st.bounds());
-    return copy;
+  return f;
+}
+
+void RowFilter::constrain(std::size_t attr, const Interval& range) {
+  for (Lane& l : lanes_) {
+    if (l.attr == attr) {
+      l.range = l.range.intersect(range);
+      return;
+    }
   }
+  lanes_.push_back(
+      {attr, schema_->offset(attr), schema_->attr(attr).type, range});
+}
+
+template <typename Emit>
+void RowFilter::select(const std::byte* rows, std::size_t n,
+                       std::size_t record_size, BoundsBuilder& bounds,
+                       Emit&& emit) const {
+  std::size_t run = 0;  // first row of the current run of survivors
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::byte* row = rows + r * record_size;
+    if (keeps(row)) {
+      bounds.add(row);
+      continue;
+    }
+    if (run < r) emit(run, r - run);
+    run = r + 1;
+  }
+  if (run < n) emit(run, n - run);
+}
+
+namespace {
+
+void require_schema(const SubTable& st, const RowFilter& filter) {
+  ORV_REQUIRE(&st.schema() == &filter.schema() ||
+                  st.schema() == filter.schema(),
+              "filter_rows: the filter was compiled for another schema");
+}
+
+}  // namespace
+
+SubTable filter_rows(const SubTable& st, const RowFilter& filter) {
+  require_schema(st, filter);
   SubTable out(st.schema_ptr(), st.id());
-  for (std::size_t r = 0; r < st.num_rows(); ++r) {
-    if (st.row_in(r, pred)) {
-      out.append_row({st.row(r), st.record_size()});
-    }
+  const auto bytes = st.bytes();
+  if (!filter.constrains()) {
+    out.adopt_bytes({bytes.begin(), bytes.end()});
+    out.set_bounds(st.bounds());
+    return out;
   }
-  out.compute_bounds();
+  const std::size_t rs = st.record_size();
+  std::vector<std::byte> kept;
+  kept.reserve(bytes.size());
+  BoundsBuilder bounds(st.schema());
+  filter.select(bytes.data(), st.num_rows(), rs, bounds,
+                [&](std::size_t first, std::size_t rows) {
+                  const std::byte* p = bytes.data() + first * rs;
+                  kept.insert(kept.end(), p, p + rows * rs);
+                });
+  if (kept.capacity() > 2 * kept.size()) kept.shrink_to_fit();
+  out.adopt_bytes(std::move(kept));
+  out.set_bounds(bounds.finish());
   return out;
+}
+
+SubTable filter_rows(SubTable&& st, const RowFilter& filter) {
+  require_schema(st, filter);
+  if (!filter.constrains()) return std::move(st);
+  const std::size_t rs = st.record_size();
+  BoundsBuilder bounds(st.schema());
+  std::size_t kept = 0;
+  if (!st.empty()) {
+    std::byte* base = st.mutable_row(0);
+    filter.select(base, st.num_rows(), rs, bounds,
+                  [&](std::size_t first, std::size_t rows) {
+                    if (first != kept) {
+                      std::memmove(base + kept * rs, base + first * rs,
+                                   rows * rs);
+                    }
+                    kept += rows;
+                  });
+  }
+  st.keep_rows(kept);
+  st.set_bounds(bounds.finish());
+  return std::move(st);
+}
+
+SubTable filter_rows(SubTable st, const std::vector<AttrRange>& ranges) {
+  const RowFilter filter(st.schema_ptr(), ranges);
+  return filter_rows(std::move(st), filter);
 }
 
 }  // namespace orv

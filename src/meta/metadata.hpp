@@ -43,12 +43,83 @@ struct AttrRange {
   Interval range;
 };
 
-/// Applies a record-level range predicate to a sub-table, returning the
-/// surviving rows (same schema and id) with their bounds. Ranges on
-/// attributes the sub-table lacks are ignored; with none left, the result
-/// is a copy that keeps the input's bounds. BDS, QES and the reference
-/// join all filter through this one function.
-SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges);
+/// A record-level range predicate compiled against one schema, the way
+/// JoinKey::resolve compiles a key: one lane (byte offset, type, interval)
+/// per constrained attribute, duplicate ranges on one attribute
+/// intersected. Only constrained lanes are tested, so a NaN in any other
+/// attribute keeps its row; a NaN in a constrained one fails it.
+class RowFilter {
+ public:
+  /// Compiles `ranges` by attribute name; ranges on attributes `schema`
+  /// lacks are dropped.
+  RowFilter(SchemaPtr schema, const std::vector<AttrRange>& ranges);
+
+  /// Compiles the per-table `ranges` of a join query against its result
+  /// schema (Schema::join_result of `left`, `right` and the right key
+  /// `right_key_indices`): a range constrains the left copy of its
+  /// attribute and the right copy of a non-key right attribute, found by
+  /// position (renamed copies included), so a result row passes exactly
+  /// when both of its input rows pass. Ranges on key attributes constrain
+  /// the left copy, which equals the right one.
+  static RowFilter join_result(SchemaPtr result, const Schema& left,
+                               const Schema& right,
+                               const std::vector<std::size_t>& right_key_indices,
+                               const std::vector<AttrRange>& ranges);
+
+  const Schema& schema() const { return *schema_; }
+
+  /// False when no range names an attribute of the schema: every row
+  /// passes.
+  bool constrains() const { return !lanes_.empty(); }
+
+ private:
+  struct Lane {
+    std::size_t attr;
+    std::size_t offset;
+    AttrType type;
+    Interval range;
+  };
+
+  explicit RowFilter(SchemaPtr schema);
+  void constrain(std::size_t attr, const Interval& range);
+
+  bool keeps(const std::byte* row) const {
+    for (const Lane& l : lanes_) {
+      if (!l.range.contains(double_from_bytes(l.type, row + l.offset))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// The selection pass over `n` packed rows of `record_size` bytes:
+  /// tests each row's lanes, widens `bounds` over the survivors in row
+  /// order and hands each run of consecutive survivors to
+  /// `emit(first_row, rows)`.
+  template <typename Emit>
+  void select(const std::byte* rows, std::size_t n, std::size_t record_size,
+              BoundsBuilder& bounds, Emit&& emit) const;
+
+  friend SubTable filter_rows(const SubTable& st, const RowFilter& filter);
+  friend SubTable filter_rows(SubTable&& st, const RowFilter& filter);
+
+  SchemaPtr schema_;
+  std::vector<Lane> lanes_;
+};
+
+/// Applies a compiled range predicate to a sub-table of the filter's
+/// schema, returning the surviving rows (same schema and id, same order)
+/// with their bounds, computed in the same pass. A filter that constrains
+/// nothing returns the rows with the input's bounds. BDS, QES, the local
+/// executor and the reference join all filter through these overloads:
+/// the const& form copies the survivors, the && form compacts them in the
+/// sub-table's own buffer.
+SubTable filter_rows(const SubTable& st, const RowFilter& filter);
+SubTable filter_rows(SubTable&& st, const RowFilter& filter);
+
+/// Compiles `ranges` against the sub-table's schema, then filters it; for
+/// callers that filter once per query.
+SubTable filter_rows(SubTable st, const std::vector<AttrRange>& ranges);
 
 class MetaDataService {
  public:

@@ -64,6 +64,8 @@ struct GhShared {
       : cluster(c), bds(b), meta(m), query(q), options(o),
         left_schema(std::move(ls)), right_schema(std::move(rs)),
         probe_side(std::move(side)), result_schema(std::move(result)),
+        left_filter(left_schema, q.ranges),
+        right_filter(right_schema, q.ranges),
         life(c), jobs(o.result_sink) {}
 
   Cluster& cluster;
@@ -76,6 +78,10 @@ struct GhShared {
   SchemaPtr right_schema;
   const ProbeSide probe_side;  // the right table's key and copy plan
   SchemaPtr result_schema;
+  // The query's selection compiled once per input table; h1 routes only
+  // the rows that pass.
+  const RowFilter left_filter;
+  const RowFilter right_filter;
   std::size_t n_buckets = 1;
 
   std::vector<std::unique_ptr<sim::Channel<Batch>>> to_compute;
@@ -169,10 +175,9 @@ class Partitioner {
   /// would duplicate them.
   sim::Task<> add_subtable(const SubTable& chunk,
                            const std::vector<char>* prev_dead = nullptr) {
+    const RowFilter& filter = left_ ? sh_.left_filter : sh_.right_filter;
     std::optional<SubTable> filtered;
-    if (!sh_.query.ranges.empty()) {
-      filtered = filter_rows(chunk, sh_.query.ranges);
-    }
+    if (filter.constrains()) filtered = filter_rows(chunk, filter);
     const SubTable& st = filtered ? *filtered : chunk;
     const std::size_t n_dest = buffers_.size();
     for (std::size_t r = 0; r < st.num_rows(); ++r) {

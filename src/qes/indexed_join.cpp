@@ -44,10 +44,17 @@ namespace {
 
 struct IjShared {
   IjShared(Cluster& c, BdsService& b, const MetaDataService& m,
-           const JoinQuery& q, const QesOptions& o, ProbeSide side,
-           SchemaPtr schema)
+           const JoinQuery& q, const QesOptions& o, const SchemaPtr& ls,
+           const SchemaPtr& rs)
       : cluster(c), bds(b), meta(m), query(q), options(o),
-        probe_side(std::move(side)), result_schema(std::move(schema)),
+        probe_side(ProbeSide::make(*ls, *rs, q.join_attrs)),
+        result_schema(std::make_shared<const Schema>(Schema::join_result(
+            *ls, *rs, probe_side.key.attr_indices()))),
+        left_filter(ls, q.ranges),
+        right_filter(rs, q.ranges),
+        output_filter(RowFilter::join_result(result_schema, *ls, *rs,
+                                             probe_side.key.attr_indices(),
+                                             q.ranges)),
         life(c), jobs(o.result_sink) {}
 
   Cluster& cluster;
@@ -57,6 +64,13 @@ struct IjShared {
   const QesOptions& options;
   const ProbeSide probe_side;  // the right table's key and copy plan
   SchemaPtr result_schema;
+
+  // The query's selection, compiled once: per input table for fetched
+  // sub-tables, and against the result schema for join outputs (session
+  // caches hold raw sub-tables, so the selection moves to the output).
+  const RowFilter left_filter;
+  const RowFilter right_filter;
+  const RowFilter output_filter;
 
   // Event-loop accumulators (the offloaded jobs fold probe and result
   // tuples and the fingerprint into `jobs`).
@@ -103,15 +117,19 @@ struct IjShared {
 sim::Task<std::vector<std::shared_ptr<const SubTable>>> ij_bds_fetch(
     IjShared& sh, std::size_t node, bool raw, std::vector<SubTableId> ids,
     obs::TraceContext rpc) {
-  const bool select = !raw && !sh.query.ranges.empty();
-  const std::vector<AttrRange>* pushed =
-      select && sh.options.pushdown_selection ? &sh.query.ranges : nullptr;
+  // A run is one table's chunks (the prefetcher builds it so).
+  const RowFilter& filter = ids.front().table == sh.query.left_table
+                               ? sh.left_filter
+                               : sh.right_filter;
+  const bool select = !raw && filter.constrains();
+  const RowFilter* pushed =
+      select && sh.options.pushdown_selection ? &filter : nullptr;
   BdsInstance& bds = sh.bds.instance_for(ids.front());
   auto tables =
       co_await bds.fetch_to_compute(std::move(ids), node, pushed, rpc);
   for (auto& st : tables) {
     if (select && pushed == nullptr) {
-      st = std::make_shared<const SubTable>(filter_rows(*st, sh.query.ranges));
+      st = std::make_shared<const SubTable>(filter_rows(*st, filter));
     }
     sh.node_work[node].bytes += static_cast<double>(st->size_bytes());
   }
@@ -207,8 +225,10 @@ sim::Task<> ij_prefetch_fetch(IjShared& sh, std::size_t node, bool raw,
           continue;
         }
         if (cache.contains(cand)) continue;
+        // A run shares one table's compiled selection (ij_bds_fetch).
         const ChunkMeta& cm = sh.meta.chunk(cand);
-        if (cm.location.storage_node != loc.storage_node ||
+        if (cand.table != id.table ||
+            cm.location.storage_node != loc.storage_node ||
             cm.location.file_no != loc.file_no) {
           continue;
         }
@@ -365,13 +385,14 @@ sim::Task<bool> ij_join_pair(IjShared& sh, std::size_t node,
   if (inj && inj->compute_down(node)) co_return true;  // pre-accumulation
   probe_stage.tag("rows", right->num_rows());
   probe_stage.close();
-  const std::vector<AttrRange>* filter =
-      persistent && !sh.query.ranges.empty() ? &sh.query.ranges : nullptr;
+  const RowFilter* filter =
+      persistent && sh.output_filter.constrains() ? &sh.output_filter
+                                                  : nullptr;
   sh.jobs.submit(node, right->num_rows(),
                  SubTable(sh.result_schema, SubTableId{0, out_seq++}),
                  [ht, right, side = &sh.probe_side, filter](SubTable& out) {
                    const JoinStats s = ht->probe(*right, *side, out);
-                   if (filter) out = filter_rows(out, *filter);
+                   if (filter) out = filter_rows(std::move(out), *filter);
                    return s;
                  });
   sh.jobs.poll();
@@ -604,14 +625,9 @@ sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
   ORV_REQUIRE(!query.join_attrs.empty(), "join needs key attributes");
   auto& engine = cluster.engine();
 
-  const auto left_schema = meta.table_schema(query.left_table);
-  const auto right_schema = meta.table_schema(query.right_table);
-  ProbeSide side =
-      ProbeSide::make(*left_schema, *right_schema, query.join_attrs);
-  auto result_schema = std::make_shared<const Schema>(Schema::join_result(
-      *left_schema, *right_schema, side.key.attr_indices()));
-  IjShared sh{cluster, bds, meta, query, options, std::move(side),
-              std::move(result_schema)};
+  IjShared sh{cluster, bds, meta, query, options,
+              meta.table_schema(query.left_table),
+              meta.table_schema(query.right_table)};
 
   Schedule schedule;
   if (options.assign == ComponentAssign::CacheAffinity &&

@@ -81,56 +81,51 @@ void QueryLifecycle::fail() {
   if (ctx) ctx->tracer.end_orphaned(span);
 }
 
-ReferenceResult reference_join(
-    const MetaDataService& meta,
-    const std::vector<std::shared_ptr<ChunkStore>>& stores,
-    const JoinQuery& query) {
-  auto load_table = [&](TableId table) {
-    SubTable all(meta.table_schema(table), SubTableId{table, 0});
-    for (const auto& cm : meta.chunks(table)) {
-      const auto bytes = stores.at(cm.location.storage_node)->read(cm.location);
-      SubTable st = extract_chunk(bytes);
-      SubTable filtered = filter_rows(st, query.ranges);
-      for (std::size_t r = 0; r < filtered.num_rows(); ++r) {
-        all.append_row({filtered.row(r), filtered.record_size()});
-      }
+namespace {
+
+/// All rows of `table` that pass the query's selection, in chunk order.
+SubTable load_selected(const MetaDataService& meta,
+                       const std::vector<std::shared_ptr<ChunkStore>>& stores,
+                       TableId table, const std::vector<AttrRange>& ranges) {
+  const RowFilter filter(meta.table_schema(table), ranges);
+  SubTable all(meta.table_schema(table), SubTableId{table, 0});
+  for (const auto& cm : meta.chunks(table)) {
+    const auto bytes = stores.at(cm.location.storage_node)->read(cm.location);
+    const SubTable filtered = filter_rows(extract_chunk(bytes), filter);
+    for (std::size_t r = 0; r < filtered.num_rows(); ++r) {
+      all.append_row({filtered.row(r), filtered.record_size()});
     }
-    return all;
-  };
-  const SubTable left = load_table(query.left_table);
-  const SubTable right = load_table(query.right_table);
-  const SubTable joined =
-      hash_join(left, right, query.join_attrs, SubTableId{0, 0});
+  }
+  return all;
+}
+
+ReferenceResult summarize(const SubTable& joined) {
   ReferenceResult res;
   res.result_tuples = joined.num_rows();
   res.result_fingerprint = joined.unordered_fingerprint();
   return res;
 }
 
+}  // namespace
+
+ReferenceResult reference_join(
+    const MetaDataService& meta,
+    const std::vector<std::shared_ptr<ChunkStore>>& stores,
+    const JoinQuery& query) {
+  return summarize(hash_join(
+      load_selected(meta, stores, query.left_table, query.ranges),
+      load_selected(meta, stores, query.right_table, query.ranges),
+      query.join_attrs, SubTableId{0, 0}));
+}
+
 ReferenceResult nested_loop_reference(
     const MetaDataService& meta,
     const std::vector<std::shared_ptr<ChunkStore>>& stores,
     const JoinQuery& query) {
-  auto load_table = [&](TableId table) {
-    SubTable all(meta.table_schema(table), SubTableId{table, 0});
-    for (const auto& cm : meta.chunks(table)) {
-      const auto bytes = stores.at(cm.location.storage_node)->read(cm.location);
-      SubTable st = extract_chunk(bytes);
-      SubTable filtered = filter_rows(st, query.ranges);
-      for (std::size_t r = 0; r < filtered.num_rows(); ++r) {
-        all.append_row({filtered.row(r), filtered.record_size()});
-      }
-    }
-    return all;
-  };
-  const SubTable left = load_table(query.left_table);
-  const SubTable right = load_table(query.right_table);
-  const SubTable joined =
-      nested_loop_join(left, right, query.join_attrs, SubTableId{0, 0});
-  ReferenceResult res;
-  res.result_tuples = joined.num_rows();
-  res.result_fingerprint = joined.unordered_fingerprint();
-  return res;
+  return summarize(nested_loop_join(
+      load_selected(meta, stores, query.left_table, query.ranges),
+      load_selected(meta, stores, query.right_table, query.ranges),
+      query.join_attrs, SubTableId{0, 0}));
 }
 
 std::string QesResult::to_string() const {

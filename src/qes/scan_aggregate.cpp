@@ -15,7 +15,7 @@ struct SaShared {
   SaShared(Cluster& c, BdsService& b, const MetaDataService& m,
            const AggregateQuery& q, const QesOptions& o, SchemaPtr s)
       : cluster(c), bds(b), meta(m), query(q), options(o),
-        schema(std::move(s)) {}
+        schema(std::move(s)), filter(schema, q.ranges) {}
 
   Cluster& cluster;
   BdsService& bds;
@@ -23,6 +23,7 @@ struct SaShared {
   const AggregateQuery& query;
   const QesOptions& options;
   SchemaPtr schema;
+  const RowFilter filter;  // the query's selection, compiled once
 
   /// One partial aggregator per storage node, merged by the coordinator.
   std::vector<std::unique_ptr<GroupByAggregator>> partials;
@@ -56,8 +57,8 @@ sim::Task<> sa_storage(SaShared& sh, std::size_t node, sim::Latch& done) {
         [&](int) { return bds.produce(cm.id); });
     const SubTable* rows = st.get();
     SubTable filtered(sh.schema, cm.id);
-    if (!sh.query.ranges.empty()) {
-      filtered = filter_rows(*st, sh.query.ranges);
+    if (sh.filter.constrains()) {
+      filtered = filter_rows(*st, sh.filter);
       rows = &filtered;
     }
     co_await cpu.use(hw.gamma_aggregate * sh.options.cpu_work_factor *

@@ -103,8 +103,8 @@ std::string Value::to_string() const {
   return "?";
 }
 
-void throw_bad_key_lane_type() {
-  throw InvalidArgument("bad AttrType in key_lane_from_bytes");
+void throw_bad_attr_type() {
+  throw InvalidArgument("bad AttrType in a record lane");
 }
 
 }  // namespace orv

@@ -59,8 +59,8 @@ inline std::uint64_t float_key_lane(double d) {
   return bits;
 }
 
-/// Throws InvalidArgument for a key lane of a type outside AttrType.
-[[noreturn]] void throw_bad_key_lane_type();
+/// Throws InvalidArgument for a record lane of a type outside AttrType.
+[[noreturn]] void throw_bad_attr_type();
 
 /// Canonical key lane straight from record bytes (avoids Value round-trip on
 /// the join hot path). Inline: every join row hash goes through it.
@@ -87,7 +87,36 @@ inline std::uint64_t key_lane_from_bytes(AttrType type, const std::byte* p) {
       return float_key_lane(v);
     }
   }
-  throw_bad_key_lane_type();
+  throw_bad_attr_type();
+}
+
+/// The as_double() view straight from record bytes: what
+/// Value::read(type, p).as_double() returns, without the variant. Inline:
+/// every selection and bounds lane reads through it.
+inline double double_from_bytes(AttrType type, const std::byte* p) {
+  switch (type) {
+    case AttrType::Int32: {
+      std::int32_t v;
+      std::memcpy(&v, p, sizeof(v));
+      return static_cast<double>(v);
+    }
+    case AttrType::Int64: {
+      std::int64_t v;
+      std::memcpy(&v, p, sizeof(v));
+      return static_cast<double>(v);
+    }
+    case AttrType::Float32: {
+      float v;
+      std::memcpy(&v, p, sizeof(v));
+      return static_cast<double>(v);
+    }
+    case AttrType::Float64: {
+      double v;
+      std::memcpy(&v, p, sizeof(v));
+      return v;
+    }
+  }
+  throw_bad_attr_type();
 }
 
 }  // namespace orv

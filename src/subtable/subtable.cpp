@@ -1,12 +1,31 @@
 #include "subtable/subtable.hpp"
 
 #include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/strings.hpp"
 
 namespace orv {
+
+BoundsBuilder::BoundsBuilder(const Schema& schema) {
+  cols_.reserve(schema.num_attrs());
+  for (std::size_t d = 0; d < schema.num_attrs(); ++d) {
+    cols_.push_back({schema.offset(d), schema.attr(d).type,
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()});
+  }
+}
+
+Rect BoundsBuilder::finish() const {
+  Rect b(cols_.size());
+  for (std::size_t d = 0; d < cols_.size(); ++d) {
+    b[d] = rows_ == 0 ? Interval{1.0, -1.0}
+                      : Interval{cols_[d].lo, cols_[d].hi};
+  }
+  return b;
+}
 
 SubTable::SubTable(SchemaPtr schema, SubTableId id)
     : schema_(std::move(schema)), id_(id) {
@@ -63,7 +82,8 @@ Value SubTable::value(std::size_t r, std::size_t attr) const {
 }
 
 double SubTable::as_double(std::size_t r, std::size_t attr) const {
-  return value(r, attr).as_double();
+  return double_from_bytes(schema_->attr(attr).type,
+                           row(r) + schema_->offset(attr));
 }
 
 void SubTable::adopt_bytes(std::vector<std::byte> payload) {
@@ -80,33 +100,18 @@ void SubTable::set_bounds(Rect b) {
 }
 
 void SubTable::compute_bounds() {
-  const std::size_t n_attrs = schema_->num_attrs();
-  Rect b(n_attrs);
-  if (num_rows_ == 0) {
-    // Empty sub-table: an empty box (lo > hi) that overlaps nothing.
-    for (std::size_t d = 0; d < n_attrs; ++d) b[d] = Interval{1.0, -1.0};
-    bounds_ = std::move(b);
-    return;
-  }
-  for (std::size_t d = 0; d < n_attrs; ++d) {
-    b[d] = Interval{std::numeric_limits<double>::infinity(),
-                    -std::numeric_limits<double>::infinity()};
-  }
+  BoundsBuilder b(*schema_);
   for (std::size_t r = 0; r < num_rows_; ++r) {
-    for (std::size_t d = 0; d < n_attrs; ++d) {
-      b.expand(d, as_double(r, d));
-    }
+    b.add(data_.data() + r * record_size());
   }
-  bounds_ = std::move(b);
+  bounds_ = b.finish();
 }
 
-bool SubTable::row_in(std::size_t r, const Rect& pred) const {
-  ORV_REQUIRE(pred.dims() == schema_->num_attrs(),
-              "predicate dimension must equal attribute count");
-  for (std::size_t d = 0; d < pred.dims(); ++d) {
-    if (!pred[d].contains(as_double(r, d))) return false;
-  }
-  return true;
+void SubTable::keep_rows(std::size_t n) {
+  ORV_REQUIRE(n <= num_rows_, "keep_rows beyond the row count");
+  num_rows_ = n;
+  data_.resize(n * record_size());
+  if (data_.capacity() > 2 * data_.size()) data_.shrink_to_fit();
 }
 
 std::uint64_t SubTable::unordered_fingerprint() const {

@@ -40,6 +40,39 @@ struct SubTableIdHash {
   }
 };
 
+/// Per-attribute bounds grown row by row over packed records: each row's
+/// attributes are read as doubles (the as_double view) and widened with
+/// Rect::expand's `<`/`>` comparisons, so a NaN widens nothing and the
+/// bounds depend on row order only through signed zeros. The one bounds
+/// loop: SubTable::compute_bounds and filter_rows both run it.
+class BoundsBuilder {
+ public:
+  explicit BoundsBuilder(const Schema& schema);
+
+  void add(const std::byte* row) {
+    ++rows_;
+    for (Column& c : cols_) {
+      const double v = double_from_bytes(c.type, row + c.offset);
+      if (v < c.lo) c.lo = v;
+      if (v > c.hi) c.hi = v;
+    }
+  }
+
+  /// The box of the rows added; with none, the empty box {1, -1} in every
+  /// attribute, which overlaps nothing.
+  Rect finish() const;
+
+ private:
+  struct Column {
+    std::size_t offset;
+    AttrType type;
+    double lo;
+    double hi;
+  };
+  std::vector<Column> cols_;
+  std::size_t rows_ = 0;
+};
+
 /// Packed row-major record container with schema and bounding box.
 class SubTable {
  public:
@@ -115,9 +148,9 @@ class SubTable {
   /// Scans all rows and tightens the bounding box to the data.
   void compute_bounds();
 
-  /// True when row r satisfies a per-attribute range predicate: `pred` has
-  /// schema dimension; unbounded intervals always pass.
-  bool row_in(std::size_t r, const Rect& pred) const;
+  /// Drops every row past the first `n` (n <= num_rows()); a buffer left
+  /// more than half unused is shrunk.
+  void keep_rows(std::size_t n);
 
   /// Order-independent 64-bit digest of the row multiset; used to compare a
   /// distributed join result with the reference result without sorting.

@@ -94,6 +94,29 @@ TEST(SessionCache, ColdRunWithPredicateMatchesReference) {
   EXPECT_EQ(res.result_fingerprint, ref.result_fingerprint);
 }
 
+TEST(SessionCache, RangeOnSharedNonKeyAttributeConstrainsBothCopies) {
+  // Joined on x and y, both tables carry z, so the result holds z (left)
+  // and z_r (right). The range selects each table's rows: on the output
+  // it must constrain both copies, as private caches (which filter each
+  // fetched side) and GH (which filters before routing) do.
+  Rig rig;
+  const JoinQuery query{1, 2, {"x", "y"}, {{"z", {0, 0}}}};
+  const auto graph = ConnectivityGraph::build(rig.ds.meta, 1, 2,
+                                              query.join_attrs, query.ranges);
+  const auto shared = rig.run(query, graph);
+  const auto priv =
+      run_indexed_join(*rig.cluster, *rig.bds, rig.ds.meta, graph, query);
+  const auto gh = run_grace_hash(*rig.cluster, *rig.bds, rig.ds.meta, query);
+  const auto ref = reference_join(rig.ds.meta, rig.ds.stores, query);
+  EXPECT_EQ(ref.result_tuples, 64u);
+  EXPECT_EQ(priv.result_tuples, ref.result_tuples);
+  EXPECT_EQ(priv.result_fingerprint, ref.result_fingerprint);
+  EXPECT_EQ(gh.result_tuples, ref.result_tuples);
+  EXPECT_EQ(gh.result_fingerprint, ref.result_fingerprint);
+  EXPECT_EQ(shared.result_tuples, ref.result_tuples);
+  EXPECT_EQ(shared.result_fingerprint, ref.result_fingerprint);
+}
+
 TEST(SessionCache, StatsReportPerRunDeltas) {
   Rig rig;
   JoinQuery query{1, 2, {"x", "y", "z"}, {}};

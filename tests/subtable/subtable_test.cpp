@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "meta/metadata.hpp"
 
 namespace orv {
 namespace {
@@ -107,13 +108,16 @@ TEST(SubTable, SetBoundsDimensionChecked) {
 }
 
 TEST(SubTable, RowInPredicate) {
+  // The selection kernel keeps exactly the rows inside the predicate:
+  // x = 1 and x = 2 of x = 0..3; unconstrained attributes always pass.
   const SubTable st = sample(4);
-  Rect pred = Rect::unbounded(3);
-  pred[0] = {1, 2};
-  EXPECT_FALSE(st.row_in(0, pred));
-  EXPECT_TRUE(st.row_in(1, pred));
-  EXPECT_TRUE(st.row_in(2, pred));
-  EXPECT_FALSE(st.row_in(3, pred));
+  const SubTable kept =
+      filter_rows(st, RowFilter(st.schema_ptr(), {{"x", {1, 2}}}));
+  ASSERT_EQ(kept.num_rows(), 2u);
+  EXPECT_EQ(kept.as_double(0, 0), 1.0);
+  EXPECT_EQ(kept.as_double(1, 0), 2.0);
+  EXPECT_EQ(std::memcmp(kept.row(0), st.row(1), st.record_size()), 0);
+  EXPECT_EQ(std::memcmp(kept.row(1), st.row(2), st.record_size()), 0);
 }
 
 TEST(SubTable, FingerprintOrderIndependent) {
